@@ -32,12 +32,11 @@
 #include <string>
 #include <vector>
 
-#include "common/file_util.h"
+#include "common/record_file.h"
 #include "exec/harness.h"
 #include "exec/ycsb.h"
 #include "tuner/candidate_gen.h"
 #include "workload/generators.h"
-#include "workload/loader.h"
 
 namespace bati {
 namespace {
@@ -232,7 +231,7 @@ int Run(int argc, char** argv) {
 
   std::string baseline;
   if (!baseline_path.empty()) {
-    StatusOr<std::string> loaded = ReadFileToString(baseline_path);
+    StatusOr<std::string> loaded = ReadWholeFile(baseline_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "[bench_exec] baseline %s: %s\n",
                    baseline_path.c_str(),

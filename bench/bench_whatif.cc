@@ -30,13 +30,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/file_util.h"
+#include "common/record_file.h"
 #include "optimizer/what_if.h"
 #include "tuner/candidate_gen.h"
 #include "whatif/cost_service.h"
 #include "whatif/whatif_executor.h"
 #include "workload/generators.h"
-#include "workload/loader.h"
 
 namespace bati {
 namespace {
@@ -393,7 +392,7 @@ int Run(int argc, char** argv) {
   std::fprintf(stderr, "[bench_whatif] wrote %s\n", out_path.c_str());
 
   if (baseline_path.empty()) return 0;
-  StatusOr<std::string> baseline = ReadFileToString(baseline_path);
+  StatusOr<std::string> baseline = ReadWholeFile(baseline_path);
   if (!baseline.ok()) {
     std::fprintf(stderr, "[bench_whatif] baseline %s: %s\n",
                  baseline_path.c_str(),

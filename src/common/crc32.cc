@@ -51,7 +51,7 @@ std::string Crc32Hex(uint32_t crc) {
   return buf;
 }
 
-bool ParseCrc32Hex(const std::string& token, uint32_t* out) {
+bool ParseCrc32Hex(std::string_view token, uint32_t* out) {
   if (token.size() != 8) return false;
   uint32_t value = 0;
   for (char c : token) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace bati {
 
@@ -23,7 +24,7 @@ std::string Crc32Hex(uint32_t crc);
 
 /// Strict inverse of Crc32Hex: exactly eight lowercase/uppercase hex
 /// digits. Returns false (leaving *out untouched) on anything else.
-bool ParseCrc32Hex(const std::string& token, uint32_t* out);
+bool ParseCrc32Hex(std::string_view token, uint32_t* out);
 
 }  // namespace bati
 

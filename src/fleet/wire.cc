@@ -1,45 +1,39 @@
 #include "fleet/wire.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
 #include "common/crc32.h"
+#include "common/record_file.h"
 
 namespace bati {
 
 namespace {
 
+/// First line of the fleet state file (see EncodeFleetState).
+constexpr char kFleetStateMagic[] = "bati-fleet-state v2";
+
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed frame: ") + what);
 }
 
-/// Strictly parses a non-negative integer token in [start, end).
-bool ParseU64Range(const std::string& s, size_t start, size_t end,
-                   uint64_t* out) {
-  if (start >= end) return false;
-  uint64_t value = 0;
-  for (size_t i = start; i < end; ++i) {
-    const char c = s[i];
-    if (c < '0' || c > '9') return false;
-    if (value > (UINT64_MAX - static_cast<uint64_t>(c - '0')) / 10) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
+/// Takes the next space-terminated token off the front of *rest; false
+/// when it is empty.
+bool NextToken(std::string_view* rest, std::string_view* token) {
+  const size_t space = std::min(rest->find(' '), rest->size());
+  *token = rest->substr(0, space);
+  rest->remove_prefix(std::min(space + 1, rest->size()));
+  return !token->empty();
 }
 
-/// Advances past one space-terminated token; returns (start, end) or false.
-bool NextToken(const std::string& s, size_t* pos, size_t* start,
-               size_t* end) {
-  if (*pos >= s.size()) return false;
-  *start = *pos;
-  const size_t space = s.find(' ', *pos);
-  *end = space == std::string::npos ? s.size() : space;
-  *pos = space == std::string::npos ? s.size() : space + 1;
-  return *end > *start;
+/// The next token as a decimal integer in [min, max].
+bool NextInteger(std::string_view* rest, uint64_t min, uint64_t max,
+                 uint64_t* out) {
+  std::string_view token;
+  return NextToken(rest, &token) && ParseInteger(token, out) && *out >= min &&
+         *out <= max;
 }
 
 }  // namespace
@@ -53,25 +47,18 @@ std::string EncodeTaskLine(const TaskFrame& frame) {
 
 Status ParseTaskLine(const std::string& line, TaskFrame* out) {
   if (line.rfind("TASK ", 0) != 0) return Malformed("not a task line");
-  size_t pos = 5, start = 0, end = 0;
+  std::string_view rest(line);
+  rest.remove_prefix(5);
   uint64_t id = 0, attempt = 0, resume = 0;
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &id) || id == 0) {
-    return Malformed("bad task id");
-  }
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &attempt) || attempt == 0 ||
-      attempt > 1000000) {
+  if (!NextInteger(&rest, 1, UINT64_MAX, &id)) return Malformed("bad task id");
+  if (!NextInteger(&rest, 1, 1000000, &attempt)) {
     return Malformed("bad attempt");
   }
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &resume) || resume > 1) {
-    return Malformed("bad resume flag");
-  }
+  if (!NextInteger(&rest, 0, 1, &resume)) return Malformed("bad resume flag");
   out->task_id = id;
   out->attempt = static_cast<int>(attempt);
   out->resume = resume == 1;
-  out->spec_json = line.substr(pos);
+  out->spec_json = std::string(rest);
   if (out->spec_json.empty()) return Malformed("missing spec");
   return Status::Ok();
 }
@@ -110,55 +97,73 @@ WireKind ClassifyLine(const std::string& line) {
 
 bool ParseHeartbeatLine(const std::string& line, uint64_t* task_id) {
   if (line.rfind("HB ", 0) != 0) return false;
-  return ParseU64Range(line, 3, line.size(), task_id) && *task_id != 0;
+  return ParseInteger(std::string_view(line).substr(3), task_id) &&
+         *task_id != 0;
 }
 
 Status ParseResultLine(const std::string& line, ResultFrame* out) {
   if (line.rfind("RESULT ", 0) != 0) return Malformed("not a result line");
-  size_t pos = 7, start = 0, end = 0;
+  std::string_view rest(line);
+  rest.remove_prefix(7);
   uint64_t id = 0, attempt = 0, ok = 0, recovered = 0, len = 0;
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &id) || id == 0) {
-    return Malformed("bad task id");
-  }
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &attempt) || attempt == 0 ||
-      attempt > 1000000) {
+  if (!NextInteger(&rest, 1, UINT64_MAX, &id)) return Malformed("bad task id");
+  if (!NextInteger(&rest, 1, 1000000, &attempt)) {
     return Malformed("bad attempt");
   }
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &ok) || ok > 1) {
-    return Malformed("bad ok flag");
-  }
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &recovered) ||
-      recovered > static_cast<uint64_t>(INT64_MAX)) {
+  if (!NextInteger(&rest, 0, 1, &ok)) return Malformed("bad ok flag");
+  if (!NextInteger(&rest, 0, INT64_MAX, &recovered)) {
     return Malformed("bad recovered count");
   }
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseU64Range(line, start, end, &len)) {
-    return Malformed("bad length");
-  }
+  if (!NextInteger(&rest, 0, UINT64_MAX, &len)) return Malformed("bad length");
+  std::string_view crc;
   uint32_t declared_crc = 0;
-  if (!NextToken(line, &pos, &start, &end) ||
-      !ParseCrc32Hex(line.substr(start, end - start), &declared_crc)) {
+  if (!NextToken(&rest, &crc) || !ParseCrc32Hex(crc, &declared_crc)) {
     return Malformed("bad checksum");
   }
   // The payload owns the rest of the line; its observed byte count must
   // match the declaration exactly — a truncated frame fails here.
-  const size_t payload_size = line.size() - pos;
-  if (pos > line.size() || payload_size != len) {
+  if (rest.size() != len) {
     return Malformed("payload length mismatch (truncated frame)");
   }
-  const std::string payload = line.substr(pos);
-  if (Crc32(payload) != declared_crc) {
+  if (Crc32(rest.data(), rest.size()) != declared_crc) {
     return Malformed("payload checksum mismatch (corrupted frame)");
   }
   out->task_id = id;
   out->attempt = static_cast<int>(attempt);
   out->ok = ok == 1;
   out->recovered_calls = static_cast<int64_t>(recovered);
-  out->payload = payload;
+  out->payload = std::string(rest);
+  return Status::Ok();
+}
+
+std::string EncodeFleetState(const std::vector<ResultFrame>& done) {
+  std::string body;
+  for (const ResultFrame& frame : done) body += EncodeResultLine(frame);
+  return FrameRecordFile(kFleetStateMagic, body);
+}
+
+Status ParseFleetState(const std::string& text, uint64_t num_tasks,
+                       std::vector<ResultFrame>* done) {
+  done->clear();
+  std::string_view body;
+  Status st = UnframeRecordFile(text, kFleetStateMagic, &body);
+  RecordLines lines(body);
+  std::string_view line;
+  while (st.ok() && lines.Next(&line)) {
+    ResultFrame frame;
+    st = ParseResultLine(std::string(line), &frame);
+    if (st.ok() && frame.task_id > num_tasks) {
+      st = Status::InvalidArgument("task " + std::to_string(frame.task_id) +
+                                   " but only " + std::to_string(num_tasks) +
+                                   " specs were given");
+    }
+    if (st.ok()) done->push_back(std::move(frame));
+  }
+  if (st.ok() && !lines.AtEnd()) st = Malformed("unterminated last record");
+  if (!st.ok()) {
+    done->clear();
+    return Status::InvalidArgument("fleet state: " + st.message());
+  }
   return Status::Ok();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -75,6 +76,16 @@ bool ParseHeartbeatLine(const std::string& line, uint64_t* task_id);
 /// Parses and validates a result line (length + CRC). Any malformed or
 /// corrupted frame yields a non-OK Status.
 Status ParseResultLine(const std::string& line, ResultFrame* out);
+
+/// The coordinator's state file: one RESULT frame per completed task, in
+/// the common record-file framing (`bati-fleet-state v2`, common/
+/// record_file.h), so a truncated or corrupted file is rejected as a whole.
+std::string EncodeFleetState(const std::vector<ResultFrame>& done);
+/// Parses EncodeFleetState() output for a run of `num_tasks` tasks; any
+/// damage, or a task id beyond `num_tasks`, is an InvalidArgument and
+/// leaves *done empty, never half-trusted.
+Status ParseFleetState(const std::string& text, uint64_t num_tasks,
+                       std::vector<ResultFrame>* done);
 
 }  // namespace bati
 

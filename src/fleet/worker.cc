@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 
+#include "common/json.h"
 #include "fleet/wire.h"
 #include "session/bundle_registry.h"
 #include "session/spec_json.h"
@@ -131,21 +132,12 @@ class Heartbeat {
   std::thread thread_;
 };
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// The error object sequential bati_batch prints for a failed spec — the
 /// fleet must emit the identical bytes for the identical failure.
 std::string ErrorPayload(const std::string& workload,
                          const std::string& message) {
-  return "{\"workload\":\"" + JsonEscape(workload) + "\",\"error\":\"" +
-         JsonEscape(message) + "\"}";
+  return JsonWriter().String("workload", workload).String("error", message)
+      .Finish();
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 #include "obs/tracer.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
+#include <iterator>
 
-#include "common/file_util.h"
+#include "common/json.h"
 #include "common/macros.h"
+#include "common/record_file.h"
 
 namespace bati {
 
@@ -16,127 +17,6 @@ void AppendDouble(std::string* out, double v) {
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   *out += buf;
 }
-
-/// Minimal recursive-descent JSON reader used only by ValidateChromeJson:
-/// enough structure-awareness to confirm well-formedness and walk the
-/// traceEvents array without pulling in a JSON dependency.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool SkipValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return SkipObject(nullptr);
-      case '[':
-        return SkipArray();
-      case '"':
-        return ReadString(nullptr);
-      default:
-        return SkipScalar();
-    }
-  }
-
-  /// Skips an object while collecting its top-level key names; when `ph` is
-  /// non-null and a "ph" member holds a string, its content is stored there
-  /// (the validator needs the phase to know whether "dur" is required).
-  bool SkipObject(std::vector<std::string>* keys,
-                  std::string* ph = nullptr) {
-    SkipSpace();
-    if (!Consume('{')) return false;
-    SkipSpace();
-    if (Consume('}')) return true;
-    while (true) {
-      std::string key;
-      if (!ReadString(&key)) return false;
-      if (keys != nullptr) keys->push_back(key);
-      SkipSpace();
-      if (!Consume(':')) return false;
-      if (ph != nullptr && key == "ph" && Peek() == '"') {
-        if (!ReadString(ph)) return false;
-      } else if (!SkipValue()) {
-        return false;
-      }
-      SkipSpace();
-      if (Consume(',')) continue;
-      return Consume('}');
-    }
-  }
-
-  /// Reads a JSON string, appending its (unescaped) content to `out`.
-  bool ReadString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        if (out != nullptr) out->push_back(text_[pos_]);
-        ++pos_;
-      } else if (c == '"') {
-        return true;
-      } else if (out != nullptr) {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  char Peek() {
-    SkipSpace();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
- private:
-  bool SkipArray() {
-    if (!Consume('[')) return false;
-    SkipSpace();
-    if (Consume(']')) return true;
-    while (true) {
-      if (!SkipValue()) return false;
-      SkipSpace();
-      if (Consume(',')) continue;
-      return Consume(']');
-    }
-  }
-
-  bool SkipScalar() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -321,70 +201,67 @@ Status Tracer::WriteChromeJson(const std::string& path) const {
   return AtomicWriteFile(path, ToChromeJson());
 }
 
+namespace {
+
+/// Checks one traceEvents entry: an object holding the required fields,
+/// plus "dur" when its phase is 'X'.
+Status ValidateTraceEvent(JsonReader* reader) {
+  static constexpr std::string_view kFields[] = {"name", "cat", "ph", "ts",
+                                                 "pid",  "tid", "dur"};
+  if (!reader->BeginObject("event").ok()) {
+    return Status::InvalidArgument("malformed event object");
+  }
+  uint32_t seen = 0;  // bit i: kFields[i] is present
+  std::string ph;
+  bool more = true;
+  std::string_view key;
+  Status st;
+  while ((st = reader->NextKey(&more, &key)).ok() && more) {
+    for (size_t i = 0; i < std::size(kFields); ++i) {
+      if (kFields[i] == key) seen |= 1u << i;
+    }
+    st = key == "ph" ? reader->ReadString(key, &ph) : reader->SkipValue();
+    if (!st.ok()) return st;
+  }
+  if (!st.ok()) return st;
+  if ((seen & 0x3f) != 0x3f) {
+    return Status::InvalidArgument(
+        "event missing a required field (name/cat/ph/ts/pid/tid)");
+  }
+  if (ph == "X" && (seen & 0x40) == 0) {
+    return Status::InvalidArgument("complete ('X') span without dur");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Status Tracer::ValidateChromeJson(const std::string& json,
                                   size_t* num_events) {
   JsonReader reader(json);
-  if (!reader.Consume('{')) {
-    return Status::InvalidArgument("trace JSON: top level is not an object");
-  }
-  bool saw_trace_events = false;
   size_t events = 0;
-  if (!reader.Consume('}')) {
-    while (true) {
-      std::string key;
-      if (!reader.ReadString(&key)) {
-        return Status::InvalidArgument("trace JSON: expected member key");
-      }
-      if (!reader.Consume(':')) {
-        return Status::InvalidArgument("trace JSON: expected ':'");
-      }
-      if (key == "traceEvents") {
-        if (!reader.Consume('[')) {
-          return Status::InvalidArgument(
-              "trace JSON: traceEvents is not an array");
-        }
-        if (!reader.Consume(']')) {
-          while (true) {
-            std::vector<std::string> keys;
-            std::string ph;
-            if (reader.Peek() != '{' || !reader.SkipObject(&keys, &ph)) {
-              return Status::InvalidArgument(
-                  "trace JSON: malformed event object");
-            }
-            auto has = [&keys](const char* k) {
-              return std::find(keys.begin(), keys.end(), k) != keys.end();
-            };
-            if (!has("name") || !has("cat") || !has("ph") || !has("ts") ||
-                !has("pid") || !has("tid")) {
-              return Status::InvalidArgument(
-                  "trace JSON: event missing a required field "
-                  "(name/cat/ph/ts/pid/tid)");
-            }
-            if (ph == "X" && !has("dur")) {
-              return Status::InvalidArgument(
-                  "trace JSON: complete ('X') span without dur");
-            }
-            ++events;
-            if (reader.Consume(',')) continue;
-            if (reader.Consume(']')) break;
-            return Status::InvalidArgument("trace JSON: unterminated array");
-          }
-        }
-        saw_trace_events = true;
-      } else if (!reader.SkipValue()) {
-        return Status::InvalidArgument("trace JSON: malformed member value");
-      }
-      if (reader.Consume(',')) continue;
-      if (reader.Consume('}')) break;
-      return Status::InvalidArgument("trace JSON: unterminated object");
+  bool saw_trace_events = false;
+  Status st = reader.BeginObject("top level");
+  bool more = true;
+  std::string_view key;
+  while (st.ok() && (st = reader.NextKey(&more, &key)).ok() && more) {
+    if (key != "traceEvents") {
+      st = reader.SkipValue();
+      continue;
+    }
+    saw_trace_events = true;
+    st = reader.BeginArray();
+    if (!st.ok()) st = Status::InvalidArgument("traceEvents is not an array");
+    while (st.ok() && (st = reader.NextElement(&more)).ok() && more) {
+      st = ValidateTraceEvent(&reader);
+      ++events;
     }
   }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trace JSON: trailing garbage");
+  if (st.ok()) st = reader.ExpectEnd();
+  if (st.ok() && !saw_trace_events) {
+    st = Status::InvalidArgument("no traceEvents array");
   }
-  if (!saw_trace_events) {
-    return Status::InvalidArgument("trace JSON: no traceEvents array");
-  }
+  if (!st.ok()) return Status::InvalidArgument("trace JSON: " + st.message());
   if (num_events != nullptr) *num_events = events;
   return Status::Ok();
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/strings.h"
 #include "session/spec_json.h"
@@ -77,19 +78,7 @@ std::vector<std::string> SplitPayloadLines(const std::string& payload) {
 }  // namespace
 
 std::string ServeJsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
+  return JsonEscape(text);
 }
 
 const char* ServeStatusCodeName(StatusCode code) {
@@ -244,7 +233,7 @@ void ServeDaemon::ProcessLine(const std::string& line, std::string* out) {
     out->append("{\"type\":\"error\",\"line\":" +
                 std::to_string(events_processed_) + ",\"code\":\"" +
                 ServeStatusCodeName(st.code()) + "\",\"error\":\"" +
-                ServeJsonEscape(st.message()) + "\"}\n");
+                JsonEscape(st.message()) + "\"}\n");
     return;
   }
 
@@ -283,15 +272,15 @@ void ServeDaemon::ProcessLine(const std::string& line, std::string* out) {
 
 /// Emits one structured error line for an event that failed validation or
 /// admission, and counts it.
-#define BATI_SERVE_EVENT_ERROR(out, status)                                 \
-  do {                                                                      \
-    ++errors_;                                                              \
-    metrics_.GetCounter("serve.errors")->Increment();                       \
-    (out)->append("{\"type\":\"error\",\"line\":" +                         \
-                  std::to_string(events_processed_) + ",\"code\":\"" +      \
-                  ServeStatusCodeName((status).code()) +                    \
-                  "\",\"error\":\"" + ServeJsonEscape((status).message()) + \
-                  "\"}\n");                                                 \
+#define BATI_SERVE_EVENT_ERROR(out, status)                            \
+  do {                                                                 \
+    ++errors_;                                                         \
+    metrics_.GetCounter("serve.errors")->Increment();                  \
+    (out)->append("{\"type\":\"error\",\"line\":" +                    \
+                  std::to_string(events_processed_) + ",\"code\":\"" + \
+                  ServeStatusCodeName((status).code()) +               \
+                  "\",\"error\":\"" + JsonEscape((status).message()) + \
+                  "\"}\n");                                            \
   } while (0)
 
 void ServeDaemon::HandleRegister(const ServeEvent& event, std::string* out) {
@@ -340,7 +329,7 @@ void ServeDaemon::HandleRegister(const ServeEvent& event, std::string* out) {
       ack += ",\"tune\":" + std::to_string(*submitted);
     } else {
       ack += ",\"tune_error\":\"" +
-             ServeJsonEscape(submitted.status().message()) + "\"";
+             JsonEscape(submitted.status().message()) + "\"";
     }
   }
   ack += ",\"status\":\"ok\"}\n";
@@ -397,7 +386,7 @@ void ServeDaemon::HandleQuery(const ServeEvent& event, std::string* out) {
         TenantCounter(t->name, "rejects")->Increment();
         metrics_.GetCounter("serve.rejects")->Increment();
         ack += ",\"retune_error\":\"" +
-               ServeJsonEscape(submitted.status().message()) + "\"";
+               JsonEscape(submitted.status().message()) + "\"";
       }
     }
   }
@@ -574,7 +563,7 @@ void ServeDaemon::ApplyTune(PendingTune* tune, std::string* out) {
   AppendNumber(&line, clock_);
   if (tune->failed) {
     line += ",\"status\":\"error\",\"error\":\"" +
-            ServeJsonEscape(tune->error) + "\"}\n";
+            JsonEscape(tune->error) + "\"}\n";
     out->append(line);
     return;
   }

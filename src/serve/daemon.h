@@ -249,8 +249,8 @@ class ServeDaemon {
   int64_t rollbacks_ = 0;
 };
 
-/// JSON-string-escapes `text` (quotes, backslashes; control bytes become
-/// spaces) for embedding in the daemon's output lines.
+/// JsonEscape (common/json.h) under its former serve-layer name, kept for
+/// callers outside the library.
 std::string ServeJsonEscape(const std::string& text);
 
 /// Lower-kebab-case rendering of a status code for structured error lines

@@ -1,387 +1,203 @@
 #include "serve/event_json.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
+#include <string_view>
 
-#include "common/strings.h"
+#include "common/json.h"
+#include "common/record_file.h"
 #include "session/spec_json.h"
 
 namespace bati {
 
 namespace {
 
-/// One raw key/value token of the event line. `raw` is the exact value
-/// substring, kept so residual (non-serve) keys can be reassembled into a
-/// spec object for session/spec_json.h without re-encoding.
-struct RawField {
-  std::string key;
-  std::string raw;
-  bool is_string = false;
-  bool is_bool = false;
-  bool is_number = false;
-  std::string str;  ///< decoded, when is_string
-  double num = 0.0;
-  bool boolean = false;
+/// One key of an event grammar: how its value is read, and the error for
+/// a required key the line lacks (nullptr when the key is optional).
+struct EventKey {
+  std::string_view name;
+  Status (*read)(JsonReader*, std::string_view, ServeEvent*);
+  const char* missing;
 };
 
-struct Cursor {
-  const std::string& text;
-  size_t pos = 0;
-
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos >= text.size();
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
+/// One event type's grammar. Register events hand every key their table
+/// does not list to RunSpecReader (session/spec_json.h), so a template
+/// accepts exactly the bati_batch spec vocabulary.
+struct EventGrammar {
+  std::string_view type;
+  ServeEventType kind;
+  const char* noun;  ///< for "unknown key ... for <noun>"
+  std::span<const EventKey> keys;
 };
 
-Status ParseStringToken(Cursor* c, std::string* raw, std::string* decoded) {
-  c->SkipSpace();
-  const size_t start = c->pos;
-  if (!c->Consume('"')) {
-    return Status::InvalidArgument("expected '\"' at position " +
-                                   std::to_string(c->pos));
+Status ReadTenant(JsonReader* r, std::string_view key, ServeEvent* e) {
+  Status st = r->ReadString(key, &e->tenant);
+  if (st.ok() && e->tenant.empty()) {
+    st = Status::InvalidArgument("\"tenant\" is required");
   }
-  decoded->clear();
-  while (c->pos < c->text.size()) {
-    char ch = c->text[c->pos++];
-    if (ch == '"') {
-      *raw = c->text.substr(start, c->pos - start);
-      return Status::Ok();
-    }
-    if (ch == '\\') {
-      if (c->pos >= c->text.size()) break;
-      char esc = c->text[c->pos++];
-      if (esc == '"' || esc == '\\' || esc == '/') {
-        decoded->push_back(esc);
-      } else {
-        return Status::InvalidArgument(
-            std::string("unsupported escape '\\") + esc + "' in string");
-      }
-      continue;
-    }
-    decoded->push_back(ch);
-  }
-  return Status::InvalidArgument("unterminated string");
+  return st;
 }
 
-Status ParseRawField(Cursor* c, RawField* out) {
-  c->SkipSpace();
-  if (c->pos >= c->text.size()) {
-    return Status::InvalidArgument("missing value");
-  }
-  const char ch = c->text[c->pos];
-  if (ch == '"') {
-    out->is_string = true;
-    return ParseStringToken(c, &out->raw, &out->str);
-  }
-  if (ch == 't' || ch == 'f') {
-    out->is_bool = true;
-    if (c->text.compare(c->pos, 4, "true") == 0) {
-      out->boolean = true;
-      out->raw = "true";
-      c->pos += 4;
-      return Status::Ok();
-    }
-    if (c->text.compare(c->pos, 5, "false") == 0) {
-      out->boolean = false;
-      out->raw = "false";
-      c->pos += 5;
-      return Status::Ok();
-    }
-    return Status::InvalidArgument("expected true or false at position " +
-                                   std::to_string(c->pos));
-  }
-  if (ch == '{' || ch == '[') {
-    return Status::InvalidArgument("nested objects/arrays are not allowed");
-  }
-  errno = 0;
-  const char* begin = c->text.c_str() + c->pos;
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (end == begin || errno != 0) {
-    return Status::InvalidArgument("malformed number at position " +
-                                   std::to_string(c->pos));
-  }
-  out->is_number = true;
-  out->num = parsed;
-  out->raw = std::string(begin, static_cast<size_t>(end - begin));
-  c->pos += static_cast<size_t>(end - begin);
-  return Status::Ok();
+/// Reads a non-negative count of at least `min` into `field`.
+template <int64_t ServeEvent::*field, int64_t min>
+Status ReadCount(JsonReader* r, std::string_view key, ServeEvent* e) {
+  return r->ReadInt(key, min, std::numeric_limits<int64_t>::max(),
+                    &(e->*field));
 }
 
-Status Tokenize(const std::string& line, std::vector<RawField>* fields) {
-  Cursor c{line};
-  if (!c.Consume('{')) {
-    return Status::InvalidArgument("event line must be a JSON object");
+/// Reads a positive number into `field`.
+template <double ServeEvent::*field>
+Status ReadPositive(JsonReader* r, std::string_view key, ServeEvent* e) {
+  Status st = r->ReadNumber(key, 0.0, std::numeric_limits<double>::max(),
+                            &(e->*field));
+  if (st.ok() && e->*field <= 0.0) {
+    st = Status::InvalidArgument("\"" + std::string(key) +
+                                 "\" must be positive");
   }
-  bool first = true;
-  while (!c.Consume('}')) {
-    if (!first && !c.Consume(',')) {
-      return Status::InvalidArgument("expected ',' or '}' at position " +
-                                     std::to_string(c.pos));
-    }
-    first = false;
-    RawField field;
-    std::string raw_key;
-    Status st = ParseStringToken(&c, &raw_key, &field.key);
-    if (!st.ok()) return st;
-    if (!c.Consume(':')) {
-      return Status::InvalidArgument("expected ':' after \"" + field.key +
-                                     "\"");
-    }
-    st = ParseRawField(&c, &field);
-    if (!st.ok()) return st;
-    fields->push_back(std::move(field));
-  }
-  if (!c.AtEnd()) {
-    return Status::InvalidArgument("trailing characters after object");
-  }
-  return Status::Ok();
-}
-
-Status WantEventString(const RawField& f, std::string* out) {
-  if (!f.is_string) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be a string");
-  }
-  *out = f.str;
-  return Status::Ok();
-}
-
-Status WantEventInt(const RawField& f, int64_t min, int64_t* out) {
-  if (!f.is_number) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be a number");
-  }
-  const int64_t integer = static_cast<int64_t>(f.num);
-  if (static_cast<double>(integer) != f.num) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be an integer");
-  }
-  if (integer < min) {
-    return Status::InvalidArgument("\"" + f.key + "\" out of range");
-  }
-  *out = integer;
-  return Status::Ok();
-}
-
-Status WantEventNumber(const RawField& f, double min, double* out) {
-  if (!f.is_number) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be a number");
-  }
-  if (f.num < min) {
-    return Status::InvalidArgument("\"" + f.key + "\" out of range");
-  }
-  *out = f.num;
-  return Status::Ok();
-}
-
-Status WantEventBool(const RawField& f, bool* out) {
-  if (!f.is_bool) {
-    return Status::InvalidArgument("\"" + f.key + "\" must be true or "
-                                   "false");
-  }
-  *out = f.boolean;
-  return Status::Ok();
+  return st;
 }
 
 /// Parses a deploy config: space-separated non-negative candidate
 /// positions ("1 4 7"); the empty string is the base (no-index)
 /// configuration. Duplicates are rejected so a diff is well-defined.
-Status ParseConfigString(const std::string& text,
+Status ParseConfigString(std::string_view text,
                          std::vector<size_t>* positions) {
   positions->clear();
-  size_t last = static_cast<size_t>(-1);
-  bool have_last = false;
-  for (const std::string& token : Split(Trim(text), ' ')) {
-    if (token.empty()) continue;
-    errno = 0;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(token.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' || parsed < 0) {
+  for (std::string_view token : SplitTokens(text)) {
+    size_t pos = 0;
+    if (!ParseInteger(token, &pos)) {
       return Status::InvalidArgument("\"config\" must be space-separated "
                                      "non-negative positions, got '" +
-                                     token + "'");
+                                     std::string(token) + "'");
     }
-    const size_t pos = static_cast<size_t>(parsed);
-    if (have_last && pos <= last) {
+    if (!positions->empty() && pos <= positions->back()) {
       return Status::InvalidArgument(
           "\"config\" positions must be strictly ascending");
     }
     positions->push_back(pos);
-    last = pos;
-    have_last = true;
   }
   return Status::Ok();
 }
 
+// Required type-specific keys come first: their "missing" error wins over
+// the tenant's.
+constexpr EventKey kQueryKeys[] = {
+    {"query",
+     [](JsonReader* r, std::string_view k, ServeEvent* e) {
+       int64_t id = 0;
+       Status st = r->ReadInt(k, 0, std::numeric_limits<int>::max(), &id);
+       if (st.ok()) e->query_id = static_cast<int>(id);
+       return st;
+     },
+     "query events require \"query\""},
+    {"weight", ReadPositive<&ServeEvent::weight>, nullptr},
+    {"tenant", ReadTenant, "\"tenant\" is required"},
+};
+
+constexpr EventKey kRegisterKeys[] = {
+    {"queue_quota", ReadCount<&ServeEvent::queue_quota, 1>, nullptr},
+    {"budget_quota", ReadCount<&ServeEvent::budget_quota, 0>, nullptr},
+    {"tune",
+     [](JsonReader* r, std::string_view k, ServeEvent* e) {
+       return r->ReadBool(k, &e->tune_on_register);
+     },
+     nullptr},
+    {"tenant", ReadTenant, "\"tenant\" is required"},
+};
+
+constexpr EventKey kTuneKeys[] = {
+    {"budget", ReadCount<&ServeEvent::budget_override, 0>, nullptr},
+    {"seed", ReadCount<&ServeEvent::seed_override, 0>, nullptr},
+    {"algorithm",
+     [](JsonReader* r, std::string_view k, ServeEvent* e) {
+       Status st = r->ReadString(k, &e->algorithm_override);
+       if (st.ok() && !IsKnownAlgorithm(e->algorithm_override)) {
+         st = Status::InvalidArgument("unknown algorithm \"" +
+                                      e->algorithm_override + "\"");
+       }
+       return st;
+     },
+     nullptr},
+    {"tenant", ReadTenant, "\"tenant\" is required"},
+};
+
+constexpr EventKey kDeployKeys[] = {
+    {"config",
+     [](JsonReader* r, std::string_view k, ServeEvent* e) {
+       std::string text;
+       Status st = r->ReadString(k, &text);
+       if (st.ok()) st = ParseConfigString(text, &e->config);
+       return st;
+     },
+     "deploy events require \"config\""},
+    {"tenant", ReadTenant, "\"tenant\" is required"},
+};
+
+constexpr EventKey kAdvanceKeys[] = {
+    {"seconds", ReadPositive<&ServeEvent::seconds>,
+     "advance events require \"seconds\""},
+};
+
+constexpr EventGrammar kGrammars[] = {
+    {"query", ServeEventType::kQuery, "a query event", kQueryKeys},
+    {"register", ServeEventType::kRegister, "a register event",
+     kRegisterKeys},
+    {"tune", ServeEventType::kTune, "a tune event", kTuneKeys},
+    {"deploy", ServeEventType::kDeploy, "a deploy event", kDeployKeys},
+    {"advance", ServeEventType::kAdvance, "an advance event", kAdvanceKeys},
+    {"drain", ServeEventType::kDrain, "a drain event", {}},
+};
+
 Status ParseEvent(const std::string& line, ServeEvent* event) {
   *event = ServeEvent();
-  std::vector<RawField> fields;
-  Status st = Tokenize(line, &fields);
-  if (!st.ok()) return st;
-
+  // First pass: the whole line must be a well-formed flat object, and its
+  // "type" picks the grammar for the second pass.
   std::string type;
-  for (const RawField& f : fields) {
-    if (f.key != "type") continue;
-    st = WantEventString(f, &type);
-    if (!st.ok()) return st;
+  JsonReader scan(line);
+  Status st = ReadFlatObject(&scan, "event line", [&](std::string_view key) {
+    if (key == "type") return scan.ReadString(key, &type);
+    Status skipped = scan.SkipValue();
+    if (skipped.ok()) return skipped;
+    return Status::InvalidArgument("\"" + std::string(key) +
+                                   "\": " + skipped.message());
+  });
+  if (!st.ok()) return st;
+  if (type.empty()) return Status::InvalidArgument("\"type\" is required");
+  const EventGrammar* grammar = nullptr;
+  for (const EventGrammar& g : kGrammars) {
+    if (g.type == type) grammar = &g;
   }
-  if (type.empty()) {
-    return Status::InvalidArgument("\"type\" is required");
-  }
-
-  bool have_query = false;
-  bool have_config = false;
-  bool have_seconds = false;
-  if (type == "query") {
-    event->type = ServeEventType::kQuery;
-    for (const RawField& f : fields) {
-      int64_t integer = 0;
-      if (f.key == "type") {
-        continue;
-      } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
-      } else if (f.key == "query") {
-        st = WantEventInt(f, 0, &integer);
-        if (st.ok()) {
-          event->query_id = static_cast<int>(integer);
-          have_query = true;
-        }
-      } else if (f.key == "weight") {
-        st = WantEventNumber(f, 0.0, &event->weight);
-        if (st.ok() && event->weight <= 0.0) {
-          st = Status::InvalidArgument("\"weight\" must be positive");
-        }
-      } else {
-        st = Status::InvalidArgument("unknown key \"" + f.key +
-                                     "\" for a query event");
-      }
-      if (!st.ok()) return st;
-    }
-    if (!have_query) {
-      return Status::InvalidArgument("query events require \"query\"");
-    }
-  } else if (type == "register") {
-    event->type = ServeEventType::kRegister;
-    // Residual keys are the tuning template, re-encoded verbatim for the
-    // strict RunSpec parser so serve accepts exactly the bati_batch spec
-    // vocabulary (budget, k, seed, governor, faults, ...).
-    std::string spec_json = "{";
-    for (const RawField& f : fields) {
-      if (f.key == "type") {
-        continue;
-      } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
-      } else if (f.key == "queue_quota") {
-        st = WantEventInt(f, 1, &event->queue_quota);
-      } else if (f.key == "budget_quota") {
-        st = WantEventInt(f, 0, &event->budget_quota);
-      } else if (f.key == "tune") {
-        st = WantEventBool(f, &event->tune_on_register);
-      } else {
-        if (spec_json.size() > 1) spec_json.push_back(',');
-        spec_json += "\"" + f.key + "\":" + f.raw;
-      }
-      if (!st.ok()) return st;
-    }
-    spec_json.push_back('}');
-    st = ParseRunSpecJson(spec_json, &event->spec);
-    if (!st.ok()) return st;
-  } else if (type == "tune") {
-    event->type = ServeEventType::kTune;
-    for (const RawField& f : fields) {
-      if (f.key == "type") {
-        continue;
-      } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
-      } else if (f.key == "budget") {
-        st = WantEventInt(f, 0, &event->budget_override);
-      } else if (f.key == "seed") {
-        st = WantEventInt(f, 0, &event->seed_override);
-      } else if (f.key == "algorithm") {
-        st = WantEventString(f, &event->algorithm_override);
-        if (st.ok() && !IsKnownAlgorithm(event->algorithm_override)) {
-          st = Status::InvalidArgument("unknown algorithm \"" +
-                                       event->algorithm_override + "\"");
-        }
-      } else {
-        st = Status::InvalidArgument("unknown key \"" + f.key +
-                                     "\" for a tune event");
-      }
-      if (!st.ok()) return st;
-    }
-  } else if (type == "deploy") {
-    event->type = ServeEventType::kDeploy;
-    for (const RawField& f : fields) {
-      if (f.key == "type") {
-        continue;
-      } else if (f.key == "tenant") {
-        st = WantEventString(f, &event->tenant);
-      } else if (f.key == "config") {
-        std::string text;
-        st = WantEventString(f, &text);
-        if (st.ok()) st = ParseConfigString(text, &event->config);
-        if (st.ok()) have_config = true;
-      } else {
-        st = Status::InvalidArgument("unknown key \"" + f.key +
-                                     "\" for a deploy event");
-      }
-      if (!st.ok()) return st;
-    }
-    if (!have_config) {
-      return Status::InvalidArgument("deploy events require \"config\"");
-    }
-  } else if (type == "advance") {
-    event->type = ServeEventType::kAdvance;
-    for (const RawField& f : fields) {
-      if (f.key == "type") {
-        continue;
-      } else if (f.key == "seconds") {
-        st = WantEventNumber(f, 0.0, &event->seconds);
-        if (st.ok()) have_seconds = true;
-        if (st.ok() && event->seconds <= 0.0) {
-          st = Status::InvalidArgument("\"seconds\" must be positive");
-        }
-      } else {
-        st = Status::InvalidArgument("unknown key \"" + f.key +
-                                     "\" for an advance event");
-      }
-      if (!st.ok()) return st;
-    }
-    if (!have_seconds) {
-      return Status::InvalidArgument("advance events require \"seconds\"");
-    }
-  } else if (type == "drain") {
-    event->type = ServeEventType::kDrain;
-    for (const RawField& f : fields) {
-      if (f.key != "type") {
-        return Status::InvalidArgument("unknown key \"" + f.key +
-                                       "\" for a drain event");
-      }
-    }
-  } else {
+  if (grammar == nullptr) {
     return Status::InvalidArgument("unknown event type \"" + type + "\"");
   }
+  event->type = grammar->kind;
 
-  const bool needs_tenant = event->type == ServeEventType::kQuery ||
-                            event->type == ServeEventType::kRegister ||
-                            event->type == ServeEventType::kTune ||
-                            event->type == ServeEventType::kDeploy;
-  if (needs_tenant && event->tenant.empty()) {
-    return Status::InvalidArgument("\"tenant\" is required");
+  // Only register events carry spec keys; the hot query path skips
+  // building a RunSpec.
+  std::optional<RunSpecReader> spec;
+  if (grammar->kind == ServeEventType::kRegister) spec.emplace();
+  uint32_t seen = 0;  // bit i: grammar->keys[i] was present
+  JsonReader reader(line);
+  st = ReadFlatObject(&reader, "event line", [&](std::string_view key) {
+    if (key == "type") return reader.SkipValue();
+    for (size_t i = 0; i < grammar->keys.size(); ++i) {
+      if (grammar->keys[i].name == key) {
+        seen |= 1u << i;
+        return grammar->keys[i].read(&reader, key, event);
+      }
+    }
+    if (spec) return spec->Read(key, &reader);
+    return Status::InvalidArgument("unknown key \"" + std::string(key) +
+                                   "\" for " + grammar->noun);
+  });
+  if (st.ok() && spec) st = spec->Finish(&event->spec);
+  if (!st.ok()) return st;
+  for (size_t i = 0; i < grammar->keys.size(); ++i) {
+    if (grammar->keys[i].missing != nullptr && (seen & (1u << i)) == 0) {
+      return Status::InvalidArgument(grammar->keys[i].missing);
+    }
   }
   return Status::Ok();
 }

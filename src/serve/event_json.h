@@ -22,8 +22,8 @@ enum class ServeEventType {
   /// `{"type":"register","tenant":"t","workload":"tpch","algorithm":
   /// "vanilla-greedy","budget":400,...}`. Every key that is not a serve
   /// key (`type`, `tenant`, `queue_quota`, `budget_quota`, `tune`) is
-  /// handed to session/spec_json.h's strict RunSpec parser, so a template
-  /// accepts exactly the bati_batch spec vocabulary. `"tune":true` also
+  /// read by session/spec_json.h's RunSpecReader, so a template accepts
+  /// exactly the bati_batch spec vocabulary. `"tune":true` also
   /// submits an initial tuning run at registration.
   kRegister,
   /// An explicit tuning request for a registered tenant, subject to
@@ -69,11 +69,12 @@ struct ServeEvent {
   double seconds = 0.0;
 };
 
-/// Parses one JSONL stream line into a ServeEvent. Validation is strict in
-/// the style of ParseRunSpecJson: unknown event types, unknown keys for the
-/// event's type, wrong-typed or out-of-range values, and trailing garbage
-/// are all InvalidArgument errors prefixed with "line N: " — the daemon
-/// answers them with a structured error line and keeps serving.
+/// Parses one JSONL stream line into a ServeEvent with the shared strict
+/// reader (common/json.h): unknown event types, unknown keys for the
+/// event's type, wrong-typed or out-of-range values (nan, inf and hex
+/// included), and trailing garbage are all InvalidArgument errors prefixed
+/// with "line N: " — the daemon answers them with a structured error line
+/// and keeps serving.
 Status ParseServeEventJson(const std::string& line, int lineno,
                            ServeEvent* event);
 

@@ -2,47 +2,21 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
 
-#include "common/file_util.h"
-#include "whatif/checkpoint.h"
+#include "common/record_file.h"
 
 namespace bati {
 
 namespace {
 
-constexpr char kMagic[] = "bati-serve v2";
-/// v1 checkpoints (pre-signal-layer) are still readable: they lack the
-/// signal and per-tenant calibration lines, which default to what-if /
-/// uncalibrated.
-constexpr char kMagicV1[] = "bati-serve v1";
+/// v3 moved onto the common record-file framing (magic + checksum line),
+/// so every truncation and bit flip is rejected. v1 and v2 files carry no
+/// checksum and are refused with an error naming their version.
+constexpr char kMagic[] = "bati-serve v3";
 
-Status Malformed(const char* what) {
-  return Status::InvalidArgument(std::string("malformed serve checkpoint: ") +
-                                 what);
-}
-
-bool ParseI64(const std::string& token, int64_t* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseU64(const std::string& token, uint64_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  char* end = nullptr;
-  *out = std::strtoull(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
+Status Malformed(std::string_view what) {
+  return Status::InvalidArgument("malformed serve checkpoint: " +
+                                 std::string(what));
 }
 
 /// Emits "keyword count p1 p2 ... pk\n" for a position list.
@@ -60,24 +34,21 @@ void AppendPositions(std::string* out, const char* keyword,
 
 /// Parses the positions of a "keyword count p1 ... pk" token vector,
 /// starting at toks[1]. Requires strict ascent.
-bool ParsePositions(const std::vector<std::string>& toks,
+bool ParsePositions(const std::vector<std::string_view>& toks,
                     std::vector<size_t>* positions) {
-  int64_t count = 0;
-  if (toks.size() < 2 || !ParseI64(toks[1], &count) || count < 0 ||
-      toks.size() != static_cast<size_t>(count) + 2) {
+  size_t count = 0;
+  if (toks.size() < 2 || !ParseInteger(toks[1], &count) ||
+      toks.size() - 2 != count) {
     return false;
   }
   positions->clear();
-  for (int64_t i = 0; i < count; ++i) {
-    int64_t p = 0;
-    if (!ParseI64(toks[static_cast<size_t>(i) + 2], &p) || p < 0) {
+  for (size_t i = 2; i < toks.size(); ++i) {
+    size_t p = 0;
+    if (!ParseInteger(toks[i], &p) ||
+        (!positions->empty() && p <= positions->back())) {
       return false;
     }
-    if (!positions->empty() &&
-        static_cast<size_t>(p) <= positions->back()) {
-      return false;
-    }
-    positions->push_back(static_cast<size_t>(p));
+    positions->push_back(p);
   }
   return true;
 }
@@ -88,8 +59,6 @@ std::string SerializeServeCheckpoint(const ServeCheckpoint& ckpt) {
   std::string out;
   out.reserve(512);
   char buf[256];
-  out.append(kMagic);
-  out.push_back('\n');
   std::snprintf(buf, sizeof(buf), "events %" PRId64 "\n",
                 ckpt.events_processed);
   out.append(buf);
@@ -145,9 +114,13 @@ std::string SerializeServeCheckpoint(const ServeCheckpoint& ckpt) {
   std::snprintf(buf, sizeof(buf), "pending %zu\n", ckpt.pending.size());
   out.append(buf);
   for (const ServePendingTune& p : ckpt.pending) {
-    std::snprintf(buf, sizeof(buf),
-                  "tune %" PRIu64 " %s %s %" PRId64 " %d\n", p.tune_id,
-                  p.tenant.c_str(), p.origin.c_str(), p.reserved_budget,
+    // Names are appended, not printed with %s, so every byte survives.
+    std::snprintf(buf, sizeof(buf), "tune %" PRIu64 " ", p.tune_id);
+    out.append(buf);
+    out.append(p.tenant);
+    out.push_back(' ');
+    out.append(p.origin);
+    std::snprintf(buf, sizeof(buf), " %" PRId64 " %d\n", p.reserved_budget,
                   p.failed ? 1 : 0);
     out.append(buf);
     out.append("times ");
@@ -174,122 +147,112 @@ std::string SerializeServeCheckpoint(const ServeCheckpoint& ckpt) {
     }
   }
   out.append("end\n");
-  return out;
+  return FrameRecordFile(kMagic, out);
 }
 
 StatusOr<ServeCheckpoint> ParseServeCheckpoint(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || (line != kMagic && line != kMagicV1)) {
-    return Malformed("missing or unsupported header");
-  }
-  const bool v1 = line == kMagicV1;
+  std::string_view body;
+  const Status framed = UnframeRecordFile(text, kMagic, &body);
+  if (!framed.ok()) return Malformed(framed.message());
+  RecordLines in(body);
   ServeCheckpoint ckpt;
-  std::vector<std::string> toks;
-  auto next_tokens = [&](const char* keyword, size_t count) -> bool {
-    if (!std::getline(in, line)) return false;
-    toks = SplitTokens(line);
-    return toks.size() == count + 1 && toks[0] == keyword;
-  };
+  std::vector<std::string_view> toks;
+  std::string_view line;
 
-  if (!next_tokens("events", 1) || !ParseI64(toks[1], &ckpt.events_processed) ||
+  if (!in.Next("events", 1, &toks) ||
+      !ParseInteger(toks[1], &ckpt.events_processed) ||
       ckpt.events_processed < 0) {
     return Malformed("bad events line");
   }
-  if (!next_tokens("clock", 1) || !ParseHexDouble(toks[1], &ckpt.clock) ||
+  if (!in.Next("clock", 1, &toks) || !ParseHexDouble(toks[1], &ckpt.clock) ||
       ckpt.clock < 0.0) {
     return Malformed("bad clock line");
   }
-  if (!next_tokens("next-tune", 1) ||
-      !ParseU64(toks[1], &ckpt.next_tune_id) || ckpt.next_tune_id < 1) {
+  if (!in.Next("next-tune", 1, &toks) ||
+      !ParseInteger(toks[1], &ckpt.next_tune_id) || ckpt.next_tune_id < 1) {
     return Malformed("bad next-tune line");
   }
-  if (!next_tokens("counters", 7) || !ParseI64(toks[1], &ckpt.queries) ||
-      !ParseI64(toks[2], &ckpt.tunes_submitted) ||
-      !ParseI64(toks[3], &ckpt.tunes_applied) ||
-      !ParseI64(toks[4], &ckpt.errors) ||
-      !ParseI64(toks[5], &ckpt.drift_retunes) ||
-      !ParseI64(toks[6], &ckpt.shipped) ||
-      !ParseI64(toks[7], &ckpt.rollbacks)) {
+  if (!in.Next("counters", 7, &toks) ||
+      !ParseInteger(toks[1], &ckpt.queries) ||
+      !ParseInteger(toks[2], &ckpt.tunes_submitted) ||
+      !ParseInteger(toks[3], &ckpt.tunes_applied) ||
+      !ParseInteger(toks[4], &ckpt.errors) ||
+      !ParseInteger(toks[5], &ckpt.drift_retunes) ||
+      !ParseInteger(toks[6], &ckpt.shipped) ||
+      !ParseInteger(toks[7], &ckpt.rollbacks)) {
     return Malformed("bad counters line");
   }
-  if (!v1) {
-    if (!next_tokens("signal", 1) ||
-        !ParseSignalKind(toks[1], &ckpt.signal)) {
-      return Malformed("bad signal line");
-    }
+  if (!in.Next("signal", 1, &toks) ||
+      !ParseSignalKind(std::string(toks[1]), &ckpt.signal)) {
+    return Malformed("bad signal line");
   }
 
-  int64_t num_tenants = 0;
-  if (!next_tokens("tenants", 1) || !ParseI64(toks[1], &num_tenants) ||
-      num_tenants < 0) {
+  size_t num_tenants = 0;
+  if (!in.Next("tenants", 1, &toks) || !ParseInteger(toks[1], &num_tenants)) {
     return Malformed("bad tenants line");
   }
-  for (int64_t i = 0; i < num_tenants; ++i) {
+  for (size_t i = 0; i < num_tenants; ++i) {
     ServeTenantState t;
-    if (!next_tokens("tenant", 1)) return Malformed("bad tenant line");
-    t.name = toks[1];
+    if (!in.Next("tenant", 1, &toks)) return Malformed("bad tenant line");
+    t.name = std::string(toks[1]);
     if (!ckpt.tenants.empty() && t.name <= ckpt.tenants.back().name) {
       return Malformed("tenants out of order");
     }
-    if (!std::getline(in, line) || line.rfind("spec ", 0) != 0) {
-      return Malformed("bad spec line");
-    }
-    t.spec_json = line.substr(std::strlen("spec "));
-    if (!next_tokens("quotas", 4) || !ParseI64(toks[1], &t.queue_quota) ||
-        !ParseI64(toks[2], &t.budget_quota) ||
-        !ParseI64(toks[3], &t.pending) ||
-        !ParseI64(toks[4], &t.budget_used) || t.queue_quota < 1 ||
+    std::string_view spec_json;
+    if (!in.NextRest("spec", &spec_json)) return Malformed("bad spec line");
+    t.spec_json = std::string(spec_json);
+    if (!in.Next("quotas", 4, &toks) ||
+        !ParseInteger(toks[1], &t.queue_quota) ||
+        !ParseInteger(toks[2], &t.budget_quota) ||
+        !ParseInteger(toks[3], &t.pending) ||
+        !ParseInteger(toks[4], &t.budget_used) || t.queue_quota < 1 ||
         t.budget_quota < 0 || t.pending < 0 || t.budget_used < 0) {
       return Malformed("bad quotas line");
     }
-    if (!next_tokens("generation", 1) ||
-        !ParseU64(toks[1], &t.generation)) {
+    if (!in.Next("generation", 1, &toks) ||
+        !ParseInteger(toks[1], &t.generation)) {
       return Malformed("bad generation line");
     }
-    if (!v1) {
-      if (!next_tokens("calibration", 2) ||
-          !ParseI64(toks[1], &t.calib_samples) ||
-          !ParseHexDouble(toks[2], &t.calib_sum) || t.calib_samples < 0 ||
-          t.calib_sum < 0.0) {
-        return Malformed("bad calibration line");
-      }
+    if (!in.Next("calibration", 2, &toks) ||
+        !ParseInteger(toks[1], &t.calib_samples) ||
+        !ParseHexDouble(toks[2], &t.calib_sum) || t.calib_samples < 0 ||
+        t.calib_sum < 0.0) {
+      return Malformed("bad calibration line");
     }
-    if (!std::getline(in, line)) return Malformed("missing deployed line");
+    if (!in.Next(&line)) return Malformed("missing deployed line");
     toks = SplitTokens(line);
     if (toks.empty() || toks[0] != "deployed" ||
         !ParsePositions(toks, &t.deployed)) {
       return Malformed("bad deployed line");
     }
-    int64_t observer_lines = 0;
-    if (!next_tokens("observer", 1) ||
-        !ParseI64(toks[1], &observer_lines) || observer_lines < 0) {
+    size_t observer_lines = 0;
+    if (!in.Next("observer", 1, &toks) ||
+        !ParseInteger(toks[1], &observer_lines)) {
       return Malformed("bad observer line");
     }
-    for (int64_t j = 0; j < observer_lines; ++j) {
-      if (!std::getline(in, line)) return Malformed("truncated observer");
+    for (size_t j = 0; j < observer_lines; ++j) {
+      if (!in.Next(&line)) return Malformed("truncated observer");
       t.observer_state.append(line);
       t.observer_state.push_back('\n');
     }
     ckpt.tenants.push_back(std::move(t));
   }
 
-  int64_t num_pending = 0;
-  if (!next_tokens("pending", 1) || !ParseI64(toks[1], &num_pending) ||
-      num_pending < 0) {
+  size_t num_pending = 0;
+  if (!in.Next("pending", 1, &toks) || !ParseInteger(toks[1], &num_pending)) {
     return Malformed("bad pending line");
   }
-  for (int64_t i = 0; i < num_pending; ++i) {
+  for (size_t i = 0; i < num_pending; ++i) {
     ServePendingTune p;
-    int64_t failed = 0;
-    if (!next_tokens("tune", 5) || !ParseU64(toks[1], &p.tune_id) ||
-        !ParseI64(toks[4], &p.reserved_budget) ||
-        !ParseI64(toks[5], &failed) || p.reserved_budget < 0 ||
+    int failed = 0;
+    if (!in.Next("tune", 5, &toks) || !ParseInteger(toks[1], &p.tune_id) ||
+        !ParseInteger(toks[4], &p.reserved_budget) ||
+        !ParseInteger(toks[5], &failed) || p.reserved_budget < 0 ||
         (failed != 0 && failed != 1)) {
       return Malformed("bad tune line");
     }
-    p.tenant = toks[2];
-    p.origin = toks[3];
+    p.tenant = std::string(toks[2]);
+    p.origin = std::string(toks[3]);
     p.failed = failed == 1;
     if (p.origin != "register" && p.origin != "tune" &&
         p.origin != "drift") {
@@ -302,36 +265,34 @@ StatusOr<ServeCheckpoint> ParseServeCheckpoint(const std::string& text) {
     if (p.tune_id >= ckpt.next_tune_id) {
       return Malformed("pending tune id beyond next-tune");
     }
-    if (!next_tokens("times", 2) ||
+    if (!in.Next("times", 2, &toks) ||
         !ParseHexDouble(toks[1], &p.submit_clock) ||
         !ParseHexDouble(toks[2], &p.tune_seconds) || p.submit_clock < 0.0 ||
         p.tune_seconds < 0.0) {
       return Malformed("bad times line");
     }
     if (p.failed) {
-      if (!std::getline(in, line) || line.rfind("error ", 0) != 0) {
-        return Malformed("bad error line");
-      }
-      p.error = line.substr(std::strlen("error "));
+      std::string_view error;
+      if (!in.NextRest("error", &error)) return Malformed("bad error line");
+      p.error = std::string(error);
     } else {
-      if (!std::getline(in, line)) return Malformed("missing result line");
+      if (!in.Next(&line)) return Malformed("missing result line");
       toks = SplitTokens(line);
       if (toks.size() < 4 || toks[0] != "result" ||
           !ParseHexDouble(toks[1], &p.improvement) ||
-          !ParseI64(toks[2], &p.calls_used) || p.calls_used < 0) {
+          !ParseInteger(toks[2], &p.calls_used) || p.calls_used < 0) {
         return Malformed("bad result line");
       }
       // Reuse the "keyword count p1..pk" parser by dropping the leading
       // improvement/calls tokens.
-      std::vector<std::string> pos_toks(toks.begin() + 2, toks.end());
-      pos_toks[0] = "positions";
-      if (!ParsePositions(pos_toks, &p.positions)) {
+      toks.erase(toks.begin(), toks.begin() + 2);
+      if (!ParsePositions(toks, &p.positions)) {
         return Malformed("bad result positions");
       }
     }
     ckpt.pending.push_back(std::move(p));
   }
-  if (!std::getline(in, line) || line != "end") {
+  if (!in.Next(&line) || line != "end" || !in.AtEnd()) {
     return Malformed("missing end marker");
   }
   return ckpt;
@@ -343,22 +304,9 @@ Status SaveServeCheckpoint(const ServeCheckpoint& ckpt,
 }
 
 StatusOr<ServeCheckpoint> LoadServeCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open serve checkpoint: " + path);
-  }
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("error reading serve checkpoint: " + path);
-  }
-  return ParseServeCheckpoint(text);
+  StatusOr<std::string> text = ReadWholeFile(path);
+  if (!text.ok()) return text.status();
+  return ParseServeCheckpoint(*text);
 }
 
 }  // namespace bati

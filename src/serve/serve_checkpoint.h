@@ -85,9 +85,11 @@ struct ServeCheckpoint {
   bool operator==(const ServeCheckpoint&) const = default;
 };
 
-/// Line-based text form with hex-float doubles, in the house checkpoint
-/// style (see whatif/checkpoint.h): serialization round-trips every double
-/// bit-exactly, which resume-to-identical-state requires.
+/// Line-based records with hex-float doubles inside the common record-file
+/// framing (`bati-serve v3`, common/record_file.h): serialization
+/// round-trips every double bit-exactly, which resume-to-identical-state
+/// requires, and every truncation or bit flip is rejected. v1 and v2 files
+/// (no checksum) are refused with an error naming their version.
 std::string SerializeServeCheckpoint(const ServeCheckpoint& ckpt);
 StatusOr<ServeCheckpoint> ParseServeCheckpoint(const std::string& text);
 

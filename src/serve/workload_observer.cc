@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <sstream>
 
 #include "common/macros.h"
-#include "whatif/checkpoint.h"
+#include "common/record_file.h"
 
 namespace bati {
 
@@ -155,52 +154,49 @@ bool WorkloadObserver::Deserialize(const std::vector<std::string>& lines) {
   events_seen_ = 0;
   since_check_ = 0;
 
+  // Each line must hold exactly `count` space-separated tokens.
   size_t pos = 0;
-  auto next = [&](std::istringstream* in) -> bool {
+  std::vector<std::string_view> toks;
+  auto next = [&](size_t count) {
     if (pos >= lines.size()) return false;
-    in->clear();
-    in->str(lines[pos++]);
-    return true;
+    toks = SplitTokens(lines[pos++]);
+    return toks.size() == count;
   };
 
-  std::istringstream in;
-  std::string keyword;
-  unsigned long long events = 0, since = 0;
-  if (!next(&in) || !(in >> keyword >> events >> since) ||
-      keyword != "counts") {
+  uint64_t events = 0, since = 0;
+  if (!next(3) || toks[0] != "counts" || !ParseInteger(toks[1], &events) ||
+      !ParseInteger(toks[2], &since)) {
     return false;
   }
   size_t window_count = 0;
-  if (!next(&in) || !(in >> keyword >> window_count) || keyword != "window" ||
+  if (!next(2) || toks[0] != "window" ||
+      !ParseInteger(toks[1], &window_count) ||
       window_count > options_.window) {
     return false;
   }
   for (size_t i = 0; i < window_count; ++i) {
     int id = 0;
-    std::string weight_tok;
     double weight = 0.0;
-    if (!next(&in) || !(in >> id >> weight_tok) ||
-        !ParseHexDouble(weight_tok, &weight) || id < 0 ||
-        id >= num_queries_ || weight <= 0.0) {
+    if (!next(2) || !ParseInteger(toks[0], &id) ||
+        !ParseHexDouble(toks[1], &weight) || id < 0 || id >= num_queries_ ||
+        weight <= 0.0) {
       return false;
     }
     window_.emplace_back(id, weight);
     SketchAdd(id, weight);
   }
   int has_ref = 0;
-  if (!next(&in) || !(in >> keyword >> has_ref) || keyword != "reference" ||
+  if (!next(2) || toks[0] != "reference" || !ParseInteger(toks[1], &has_ref) ||
       (has_ref != 0 && has_ref != 1)) {
     return false;
   }
   if (has_ref == 1) {
-    if (!next(&in)) return false;
-    std::string tok;
-    while (in >> tok) {
+    if (!next(static_cast<size_t>(num_queries_))) return false;
+    for (std::string_view tok : toks) {
       double value = 0.0;
       if (!ParseHexDouble(tok, &value) || value < 0.0) return false;
       reference_.push_back(value);
     }
-    if (reference_.size() != static_cast<size_t>(num_queries_)) return false;
     has_reference_ = true;
   }
   if (pos != lines.size()) return false;

@@ -1,305 +1,138 @@
 #include "session/spec_json.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 
 namespace bati {
 
 namespace {
 
-/// Cursor over one JSON line. The grammar here is deliberately tiny: one
-/// flat object of string/number/boolean values — the same shape
-/// ResultToJson() emits and a shell one-liner can produce.
-struct Cursor {
-  const std::string& text;
-  size_t pos = 0;
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
 
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos >= text.size();
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-};
-
-Status ParseString(Cursor* c, std::string* out) {
-  if (!c->Consume('"')) {
-    return Status::InvalidArgument("expected '\"' at position " +
-                                   std::to_string(c->pos));
-  }
-  out->clear();
-  while (c->pos < c->text.size()) {
-    char ch = c->text[c->pos++];
-    if (ch == '"') return Status::Ok();
-    if (ch == '\\') {
-      if (c->pos >= c->text.size()) break;
-      char esc = c->text[c->pos++];
-      if (esc == '"' || esc == '\\' || esc == '/') {
-        out->push_back(esc);
-      } else {
-        return Status::InvalidArgument(
-            std::string("unsupported escape '\\") + esc + "' in string");
-      }
-      continue;
-    }
-    out->push_back(ch);
-  }
-  return Status::InvalidArgument("unterminated string");
-}
-
-Status ParseNumber(Cursor* c, double* out) {
-  c->SkipSpace();
-  errno = 0;
-  const char* begin = c->text.c_str() + c->pos;
-  char* end = nullptr;
-  double parsed = std::strtod(begin, &end);
-  if (end == begin || errno != 0) {
-    return Status::InvalidArgument("malformed number at position " +
-                                   std::to_string(c->pos));
-  }
-  c->pos += static_cast<size_t>(end - begin);
-  *out = parsed;
-  return Status::Ok();
-}
-
-Status ParseBool(Cursor* c, bool* out) {
-  c->SkipSpace();
-  if (c->text.compare(c->pos, 4, "true") == 0) {
-    c->pos += 4;
-    *out = true;
-    return Status::Ok();
-  }
-  if (c->text.compare(c->pos, 5, "false") == 0) {
-    c->pos += 5;
-    *out = false;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("expected true or false at position " +
-                                 std::to_string(c->pos));
-}
-
-/// One decoded key/value; exactly one of the has_* flags is set.
-struct Value {
-  bool has_string = false;
-  bool has_number = false;
-  bool has_bool = false;
-  std::string str;
-  double num = 0.0;
-  bool boolean = false;
-};
-
-Status ParseValue(Cursor* c, Value* out) {
-  c->SkipSpace();
-  if (c->pos >= c->text.size()) {
-    return Status::InvalidArgument("missing value");
-  }
-  const char ch = c->text[c->pos];
-  if (ch == '"') {
-    out->has_string = true;
-    return ParseString(c, &out->str);
-  }
-  if (ch == 't' || ch == 'f') {
-    out->has_bool = true;
-    return ParseBool(c, &out->boolean);
-  }
-  if (ch == '{' || ch == '[') {
-    return Status::InvalidArgument("nested objects/arrays are not allowed");
-  }
-  out->has_number = true;
-  return ParseNumber(c, &out->num);
-}
-
-Status WantString(const std::string& key, const Value& v, std::string* out) {
-  if (!v.has_string) {
-    return Status::InvalidArgument("\"" + key + "\" must be a string");
-  }
-  *out = v.str;
-  return Status::Ok();
-}
-
-Status WantNumber(const std::string& key, const Value& v, double min,
-                  double max, double* out) {
-  if (!v.has_number) {
-    return Status::InvalidArgument("\"" + key + "\" must be a number");
-  }
-  if (v.num < min || v.num > max) {
-    return Status::InvalidArgument("\"" + key + "\" out of range");
-  }
-  *out = v.num;
-  return Status::Ok();
-}
-
-Status WantInt(const std::string& key, const Value& v, int64_t min,
-               int64_t* out) {
-  double num = 0.0;
-  Status st = WantNumber(key, v, static_cast<double>(min), 9.2e18, &num);
-  if (!st.ok()) return st;
-  int64_t integer = static_cast<int64_t>(num);
-  if (static_cast<double>(integer) != num) {
-    return Status::InvalidArgument("\"" + key + "\" must be an integer");
-  }
-  *out = integer;
-  return Status::Ok();
-}
-
-Status WantBool(const std::string& key, const Value& v, bool* out) {
-  if (!v.has_bool) {
-    return Status::InvalidArgument("\"" + key + "\" must be true or false");
-  }
-  *out = v.boolean;
-  return Status::Ok();
+/// Reads an integer in [min, max] into a field of another integer type.
+template <typename T>
+Status ReadIntInto(JsonReader* r, std::string_view key, int64_t min,
+                   int64_t max, T* out) {
+  int64_t value = 0;
+  Status st = r->ReadInt(key, min, max, &value);
+  if (st.ok()) *out = static_cast<T>(value);
+  return st;
 }
 
 }  // namespace
 
-Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
-  *spec = RunSpec();
-  // Governor threshold overrides, applied after the sweep (wired exactly
-  // like bati_tune's --skip-threshold / --stop-threshold / --stop-window).
-  bool early_stop = false;
-  bool realloc_budget = false;
-  double skip_threshold = -1.0;
-  double stop_threshold = -1.0;
-  int64_t stop_window = 0;
+Status RunSpecReader::Read(std::string_view key, JsonReader* r) {
+  RunSpec& s = spec_;
+  if (key == "workload") {
+    Status st = r->ReadString(key, &s.workload);
+    if (st.ok() && s.workload.empty()) {
+      st = Status::InvalidArgument("\"workload\" must be non-empty");
+    }
+    return st;
+  }
+  if (key == "algorithm") return r->ReadString(key, &s.algorithm);
+  if (key == "budget") return r->ReadInt(key, 0, kMaxInt64, &s.budget);
+  if (key == "k") return ReadIntInto(r, key, 1, kMaxInt, &s.max_indexes);
+  if (key == "storage_gb") {
+    double gb = 0.0;
+    Status st = r->ReadNumber(key, 0.0, 1e12, &gb);
+    if (st.ok()) s.max_storage_bytes = gb * 1e9;
+    return st;
+  }
+  if (key == "seed") return ReadIntInto(r, key, 0, kMaxInt64, &s.seed);
+  if (key == "early_stop") return r->ReadBool(key, &early_stop_);
+  if (key == "realloc_budget") return r->ReadBool(key, &realloc_budget_);
+  if (key == "skip_threshold") {
+    return r->ReadNumber(key, 0.0, 1e12, &skip_threshold_);
+  }
+  if (key == "stop_threshold") {
+    return r->ReadNumber(key, 0.0, 1e12, &stop_threshold_);
+  }
+  if (key == "stop_window") {
+    return r->ReadInt(key, 1, kMaxInt64, &stop_window_);
+  }
+  if (key == "fault_rate") {
+    return r->ReadNumber(key, 0.0, 1.0, &s.faults.transient_rate);
+  }
+  if (key == "fault_sticky") {
+    return r->ReadNumber(key, 0.0, 1.0, &s.faults.sticky_rate);
+  }
+  if (key == "fault_spike") {
+    return r->ReadNumber(key, 0.0, 1.0, &s.faults.spike_rate);
+  }
+  if (key == "fault_spike_factor") {
+    return r->ReadNumber(key, 1.0, 1e12, &s.faults.spike_factor);
+  }
+  if (key == "fault_seed") {
+    return ReadIntInto(r, key, 0, kMaxInt64, &s.faults.seed);
+  }
+  if (key == "retry_attempts") {
+    return ReadIntInto(r, key, 1, kMaxInt, &s.retry.max_attempts);
+  }
+  if (key == "retry_timeout") {
+    return r->ReadNumber(key, 0.0, 1e12, &s.retry.call_timeout_seconds);
+  }
+  if (key == "collect_metrics") return r->ReadBool(key, &s.collect_metrics);
+  if (key == "checkpoint") return r->ReadString(key, &s.checkpoint_path);
+  if (key == "resume") return r->ReadString(key, &s.resume_path);
+  if (key == "trace_out") return r->ReadString(key, &s.trace_path);
+  if (key == "signal") {
+    Status st = r->ReadString(key, &s.deploy_signal);
+    // The valid names mirror src/signal's ParseSignalKind — the session
+    // layer sits below the signal layer and cannot call it, so the list is
+    // spelled out here (cross-checked by a test).
+    const std::string& name = s.deploy_signal;
+    if (st.ok() && !name.empty() && name != "whatif" &&
+        name != "exec-deterministic" && name != "measured") {
+      st = Status::InvalidArgument("unknown signal \"" + name + "\"");
+    }
+    return st;
+  }
+  return Status::InvalidArgument("unknown key \"" + std::string(key) + "\"");
+}
 
-  Cursor c{line};
-  if (!c.Consume('{')) {
-    return Status::InvalidArgument("spec line must be a JSON object");
-  }
-  bool first = true;
-  bool have_workload = false;
-  while (!c.Consume('}')) {
-    if (!first && !c.Consume(',')) {
-      return Status::InvalidArgument("expected ',' or '}' at position " +
-                                     std::to_string(c.pos));
-    }
-    first = false;
-    std::string key;
-    Status st = ParseString(&c, &key);
-    if (!st.ok()) return st;
-    if (!c.Consume(':')) {
-      return Status::InvalidArgument("expected ':' after \"" + key + "\"");
-    }
-    Value value;
-    st = ParseValue(&c, &value);
-    if (!st.ok()) return st;
-
-    int64_t integer = 0;
-    double num = 0.0;
-    if (key == "workload") {
-      st = WantString(key, value, &spec->workload);
-      have_workload = st.ok() && !spec->workload.empty();
-      if (st.ok() && !have_workload) {
-        st = Status::InvalidArgument("\"workload\" must be non-empty");
-      }
-    } else if (key == "algorithm") {
-      st = WantString(key, value, &spec->algorithm);
-    } else if (key == "budget") {
-      st = WantInt(key, value, 0, &spec->budget);
-    } else if (key == "k") {
-      st = WantInt(key, value, 1, &integer);
-      if (st.ok()) spec->max_indexes = static_cast<int>(integer);
-    } else if (key == "storage_gb") {
-      st = WantNumber(key, value, 0.0, 1e12, &num);
-      if (st.ok()) spec->max_storage_bytes = num * 1e9;
-    } else if (key == "seed") {
-      st = WantInt(key, value, 0, &integer);
-      if (st.ok()) spec->seed = static_cast<uint64_t>(integer);
-    } else if (key == "early_stop") {
-      st = WantBool(key, value, &early_stop);
-    } else if (key == "realloc_budget") {
-      st = WantBool(key, value, &realloc_budget);
-    } else if (key == "skip_threshold") {
-      st = WantNumber(key, value, 0.0, 1e12, &skip_threshold);
-    } else if (key == "stop_threshold") {
-      st = WantNumber(key, value, 0.0, 1e12, &stop_threshold);
-    } else if (key == "stop_window") {
-      st = WantInt(key, value, 1, &stop_window);
-    } else if (key == "fault_rate") {
-      st = WantNumber(key, value, 0.0, 1.0, &spec->faults.transient_rate);
-    } else if (key == "fault_sticky") {
-      st = WantNumber(key, value, 0.0, 1.0, &spec->faults.sticky_rate);
-    } else if (key == "fault_spike") {
-      st = WantNumber(key, value, 0.0, 1.0, &spec->faults.spike_rate);
-    } else if (key == "fault_spike_factor") {
-      st = WantNumber(key, value, 1.0, 1e12, &spec->faults.spike_factor);
-    } else if (key == "fault_seed") {
-      st = WantInt(key, value, 0, &integer);
-      if (st.ok()) spec->faults.seed = static_cast<uint64_t>(integer);
-    } else if (key == "retry_attempts") {
-      st = WantInt(key, value, 1, &integer);
-      if (st.ok()) spec->retry.max_attempts = static_cast<int>(integer);
-    } else if (key == "retry_timeout") {
-      st = WantNumber(key, value, 0.0, 1e12,
-                      &spec->retry.call_timeout_seconds);
-    } else if (key == "collect_metrics") {
-      st = WantBool(key, value, &spec->collect_metrics);
-    } else if (key == "checkpoint") {
-      st = WantString(key, value, &spec->checkpoint_path);
-    } else if (key == "resume") {
-      st = WantString(key, value, &spec->resume_path);
-    } else if (key == "trace_out") {
-      st = WantString(key, value, &spec->trace_path);
-    } else if (key == "signal") {
-      st = WantString(key, value, &spec->deploy_signal);
-      // The valid names mirror src/signal's ParseSignalKind — the session
-      // layer sits below the signal layer and cannot call it, so the list
-      // is spelled out here (cross-checked by a test).
-      if (st.ok() && !spec->deploy_signal.empty() &&
-          spec->deploy_signal != "whatif" &&
-          spec->deploy_signal != "exec-deterministic" &&
-          spec->deploy_signal != "measured") {
-        st = Status::InvalidArgument("unknown signal \"" +
-                                     spec->deploy_signal + "\"");
-      }
-    } else {
-      st = Status::InvalidArgument("unknown key \"" + key + "\"");
-    }
-    if (!st.ok()) return st;
-  }
-  if (!c.AtEnd()) {
-    return Status::InvalidArgument("trailing characters after object");
-  }
-  if (!have_workload) {
+Status RunSpecReader::Finish(RunSpec* spec) {
+  if (spec_.workload.empty()) {
     return Status::InvalidArgument("\"workload\" is required");
   }
-  if (spec->algorithm.empty()) {
-    spec->algorithm = "mcts";  // bati_tune's default; never leave a spec
+  if (spec_.algorithm.empty()) {
+    spec_.algorithm = "mcts";  // bati_tune's default; never leave a spec
                                // that would CHECK-fail inside MakeTuner
-  } else if (!IsKnownAlgorithm(spec->algorithm)) {
+  } else if (!IsKnownAlgorithm(spec_.algorithm)) {
     return Status::InvalidArgument("unknown algorithm \"" +
-                                   spec->algorithm + "\"");
+                                   spec_.algorithm + "\"");
   }
-  spec->faults.enabled = spec->faults.transient_rate > 0.0 ||
-                         spec->faults.sticky_rate > 0.0 ||
-                         spec->faults.spike_rate > 0.0;
-  if (early_stop || realloc_budget) {
-    spec->governor.enabled = true;
-    spec->governor.early_stop = early_stop;
-    spec->governor.skip_what_if = realloc_budget;
-    if (skip_threshold >= 0.0) {
-      spec->governor.realloc.skip_rel_threshold = skip_threshold;
+  spec_.faults.enabled = spec_.faults.transient_rate > 0.0 ||
+                         spec_.faults.sticky_rate > 0.0 ||
+                         spec_.faults.spike_rate > 0.0;
+  // Governor threshold overrides apply only to a governed run, exactly
+  // like bati_tune's --skip-threshold / --stop-threshold / --stop-window.
+  if (early_stop_ || realloc_budget_) {
+    spec_.governor.enabled = true;
+    spec_.governor.early_stop = early_stop_;
+    spec_.governor.skip_what_if = realloc_budget_;
+    if (skip_threshold_ >= 0.0) {
+      spec_.governor.realloc.skip_rel_threshold = skip_threshold_;
     }
-    if (stop_threshold >= 0.0) {
-      spec->governor.stop.abs_threshold_pct = stop_threshold;
+    if (stop_threshold_ >= 0.0) {
+      spec_.governor.stop.abs_threshold_pct = stop_threshold_;
     }
-    if (stop_window > 0) spec->governor.stop.window_calls = stop_window;
+    if (stop_window_ > 0) spec_.governor.stop.window_calls = stop_window_;
   }
+  *spec = std::move(spec_);
   return Status::Ok();
+}
+
+Status ParseRunSpecJson(const std::string& line, RunSpec* spec) {
+  *spec = RunSpec();
+  JsonReader reader(line);
+  RunSpecReader fields;
+  Status st = ReadFlatObject(&reader, "spec line", [&](std::string_view key) {
+    return fields.Read(key, &reader);
+  });
+  if (!st.ok()) return st;
+  return fields.Finish(spec);
 }
 
 Status ParseRunSpecJsonLine(const std::string& line, int lineno,
@@ -310,108 +143,57 @@ Status ParseRunSpecJsonLine(const std::string& line, int lineno,
                                  st.message());
 }
 
-namespace {
-
-void AppendKey(std::string* out, const char* key) {
-  if ((*out)[out->size() - 1] != '{') out->push_back(',');
-  out->append("\"");
-  out->append(key);
-  out->append("\":");
-}
-
-void AppendString(std::string* out, const char* key, const std::string& v) {
-  AppendKey(out, key);
-  out->push_back('"');
-  for (char c : v) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-void AppendInt(std::string* out, const char* key, int64_t v) {
-  AppendKey(out, key);
-  out->append(std::to_string(v));
-}
-
-void AppendDouble(std::string* out, const char* key, double v) {
-  AppendKey(out, key);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-void AppendBool(std::string* out, const char* key, bool v) {
-  AppendKey(out, key);
-  out->append(v ? "true" : "false");
-}
-
-}  // namespace
-
 std::string RunSpecToJson(const RunSpec& spec) {
   const RunSpec def;  // emit only what differs from a default spec
-  std::string out = "{";
-  AppendString(&out, "workload", spec.workload);
-  if (!spec.algorithm.empty()) {
-    AppendString(&out, "algorithm", spec.algorithm);
-  }
-  if (spec.budget != def.budget) AppendInt(&out, "budget", spec.budget);
-  if (spec.max_indexes != def.max_indexes) {
-    AppendInt(&out, "k", spec.max_indexes);
-  }
+  JsonWriter out;
+  out.String("workload", spec.workload);
+  if (!spec.algorithm.empty()) out.String("algorithm", spec.algorithm);
+  if (spec.budget != def.budget) out.Int("budget", spec.budget);
+  if (spec.max_indexes != def.max_indexes) out.Int("k", spec.max_indexes);
   if (spec.max_storage_bytes != def.max_storage_bytes) {
-    AppendDouble(&out, "storage_gb", spec.max_storage_bytes / 1e9);
+    out.Double("storage_gb", spec.max_storage_bytes / 1e9);
   }
   if (spec.seed != def.seed) {
-    AppendInt(&out, "seed", static_cast<int64_t>(spec.seed));
+    out.Int("seed", static_cast<int64_t>(spec.seed));
   }
   if (spec.governor.enabled) {
-    if (spec.governor.early_stop) AppendBool(&out, "early_stop", true);
-    if (spec.governor.skip_what_if) AppendBool(&out, "realloc_budget", true);
-    AppendDouble(&out, "skip_threshold",
-                 spec.governor.realloc.skip_rel_threshold);
-    AppendDouble(&out, "stop_threshold",
-                 spec.governor.stop.abs_threshold_pct);
+    if (spec.governor.early_stop) out.Bool("early_stop", true);
+    if (spec.governor.skip_what_if) out.Bool("realloc_budget", true);
+    out.Double("skip_threshold", spec.governor.realloc.skip_rel_threshold);
+    out.Double("stop_threshold", spec.governor.stop.abs_threshold_pct);
     if (spec.governor.stop.window_calls >= 1) {
-      AppendInt(&out, "stop_window", spec.governor.stop.window_calls);
+      out.Int("stop_window", spec.governor.stop.window_calls);
     }
   }
   if (spec.faults.transient_rate != def.faults.transient_rate) {
-    AppendDouble(&out, "fault_rate", spec.faults.transient_rate);
+    out.Double("fault_rate", spec.faults.transient_rate);
   }
   if (spec.faults.sticky_rate != def.faults.sticky_rate) {
-    AppendDouble(&out, "fault_sticky", spec.faults.sticky_rate);
+    out.Double("fault_sticky", spec.faults.sticky_rate);
   }
   if (spec.faults.spike_rate != def.faults.spike_rate) {
-    AppendDouble(&out, "fault_spike", spec.faults.spike_rate);
+    out.Double("fault_spike", spec.faults.spike_rate);
   }
   if (spec.faults.spike_factor != def.faults.spike_factor) {
-    AppendDouble(&out, "fault_spike_factor", spec.faults.spike_factor);
+    out.Double("fault_spike_factor", spec.faults.spike_factor);
   }
   if (spec.faults.seed != def.faults.seed) {
-    AppendInt(&out, "fault_seed", static_cast<int64_t>(spec.faults.seed));
+    out.Int("fault_seed", static_cast<int64_t>(spec.faults.seed));
   }
   if (spec.retry.max_attempts != def.retry.max_attempts) {
-    AppendInt(&out, "retry_attempts", spec.retry.max_attempts);
+    out.Int("retry_attempts", spec.retry.max_attempts);
   }
   if (spec.retry.call_timeout_seconds != def.retry.call_timeout_seconds) {
-    AppendDouble(&out, "retry_timeout", spec.retry.call_timeout_seconds);
+    out.Double("retry_timeout", spec.retry.call_timeout_seconds);
   }
-  if (spec.collect_metrics) AppendBool(&out, "collect_metrics", true);
+  if (spec.collect_metrics) out.Bool("collect_metrics", true);
   if (!spec.checkpoint_path.empty()) {
-    AppendString(&out, "checkpoint", spec.checkpoint_path);
+    out.String("checkpoint", spec.checkpoint_path);
   }
-  if (!spec.resume_path.empty()) {
-    AppendString(&out, "resume", spec.resume_path);
-  }
-  if (!spec.trace_path.empty()) {
-    AppendString(&out, "trace_out", spec.trace_path);
-  }
-  if (!spec.deploy_signal.empty()) {
-    AppendString(&out, "signal", spec.deploy_signal);
-  }
-  out.push_back('}');
-  return out;
+  if (!spec.resume_path.empty()) out.String("resume", spec.resume_path);
+  if (!spec.trace_path.empty()) out.String("trace_out", spec.trace_path);
+  if (!spec.deploy_signal.empty()) out.String("signal", spec.deploy_signal);
+  return out.Finish();
 }
 
 }  // namespace bati

@@ -2,7 +2,9 @@
 #define BATI_SESSION_SPEC_JSON_H_
 
 #include <string>
+#include <string_view>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "session/tuning_session.h"
 
@@ -30,14 +32,37 @@ namespace bati {
 ///   checkpoint, resume, trace_out                 path strings
 ///   signal                  "whatif" | "exec-deterministic" | "measured"
 ///
-/// Validation is strict, mirroring the CLI tools: an unknown key, a
-/// malformed value, an out-of-range value, or an unknown algorithm name is
+/// Numbers follow the RFC 8259 grammar (common/json.h): `nan`, `inf`, hex,
+/// a leading `+` or `.`, and integers that do not fit their field are
+/// rejected. Validation is strict, mirroring the CLI tools: an unknown key,
+/// a malformed value, an out-of-range value, or an unknown algorithm name is
 /// an InvalidArgument error, never a silent default (and never a crash deep
 /// inside MakeTuner). On success `*spec` is a freshly defaulted RunSpec
 /// with the line's fields applied — governor/fault plumbing wired exactly
 /// as bati_tune wires the equivalent flags, and "algorithm" defaulted to
 /// "mcts" (the paper's setting, bati_tune's default) when absent.
 Status ParseRunSpecJson(const std::string& line, RunSpec* spec);
+
+/// The spec grammar over JsonReader, one key at a time, for objects that
+/// embed spec keys among their own (serve register events): Read() consumes
+/// the value of one spec key, Finish() validates the whole and yields the
+/// spec.
+class RunSpecReader {
+ public:
+  /// Reads the value of spec key `key`; an unknown key is an error.
+  Status Read(std::string_view key, JsonReader* reader);
+  /// Checks the required keys and wires the governor and fault plumbing
+  /// exactly as bati_tune wires the equivalent flags.
+  Status Finish(RunSpec* spec);
+
+ private:
+  RunSpec spec_;
+  bool early_stop_ = false;
+  bool realloc_budget_ = false;
+  double skip_threshold_ = -1.0;
+  double stop_threshold_ = -1.0;
+  int64_t stop_window_ = 0;
+};
 
 /// As ParseRunSpecJson, but errors are prefixed with "line N: " so a
 /// multi-line consumer (bati_batch, bati_serve) reports the offending

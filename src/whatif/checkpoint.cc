@@ -1,68 +1,25 @@
 #include "whatif/checkpoint.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
 
-#include "common/crc32.h"
-#include "common/file_util.h"
+#include "common/record_file.h"
 
 namespace bati {
 
-void AppendHexDouble(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  out->append(buf);
-}
-
-bool ParseHexDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
 namespace {
 
-// v2 added the `checksum <crc32> <bytes>` line right after the magic: the
-// whole body (everything following that line, "identity" through "end") is
-// length- and CRC-guarded, so a truncated or bit-flipped checkpoint is
+// v2 added the `checksum <crc32> <bytes>` line right after the magic (the
+// common record-file framing): the whole body, "identity" through "end",
+// is length- and CRC-guarded, so a truncated or bit-flipped checkpoint is
 // rejected with a clear Status instead of silently replaying a partial
 // journal prefix. v1 files (no checksum) are rejected as unsupported; a
 // resuming caller falls back to a fresh start.
 constexpr char kMagic[] = "bati-checkpoint v2";
-constexpr char kMagicV1[] = "bati-checkpoint v1";
 
-bool ParseI64(const std::string& token, int64_t* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseInt(const std::string& token, int* out) {
-  int64_t v = 0;
-  if (!ParseI64(token, &v)) return false;
-  if (v < static_cast<int64_t>(INT32_MIN) ||
-      v > static_cast<int64_t>(INT32_MAX)) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
-}
-
-Status Malformed(const char* what) {
-  return Status::InvalidArgument(std::string("malformed checkpoint: ") + what);
+Status Malformed(std::string_view what) {
+  return Status::InvalidArgument("malformed checkpoint: " + std::string(what));
 }
 
 }  // namespace
@@ -123,120 +80,78 @@ std::string SerializeCheckpoint(const EngineCheckpoint& ckpt) {
     out.push_back('\n');
   }
   out.append("end\n");
-  char header[96];
-  std::snprintf(header, sizeof(header), "%s\nchecksum %s %zu\n", kMagic,
-                Crc32Hex(Crc32(out)).c_str(), out.size());
-  return header + out;
+  return FrameRecordFile(kMagic, out);
 }
 
 StatusOr<EngineCheckpoint> ParseCheckpoint(const std::string& text) {
-  // Header: magic, then the checksum line guarding everything after it.
-  const size_t magic_end = text.find('\n');
-  if (magic_end == std::string::npos) {
-    return Malformed("missing or unsupported header");
-  }
-  const std::string magic = text.substr(0, magic_end);
-  if (magic != kMagic) {
-    if (magic == kMagicV1) {
-      return Malformed(
-          "unsupported version v1 (no checksum); re-run to write a fresh v2 "
-          "checkpoint");
-    }
-    return Malformed("missing or unsupported header");
-  }
-  const size_t checksum_end = text.find('\n', magic_end + 1);
-  if (checksum_end == std::string::npos) {
-    return Malformed("truncated before checksum line");
-  }
-  {
-    const std::vector<std::string> toks = SplitTokens(
-        text.substr(magic_end + 1, checksum_end - magic_end - 1));
-    uint32_t declared_crc = 0;
-    int64_t declared_size = 0;
-    if (toks.size() != 3 || toks[0] != "checksum" ||
-        !ParseCrc32Hex(toks[1], &declared_crc) ||
-        !ParseI64(toks[2], &declared_size) || declared_size < 0) {
-      return Malformed("bad checksum line");
-    }
-    const size_t body_size = text.size() - (checksum_end + 1);
-    if (static_cast<int64_t>(body_size) != declared_size) {
-      return Malformed("body size mismatch (truncated or padded file)");
-    }
-    if (Crc32(text.data() + checksum_end + 1, body_size) != declared_crc) {
-      return Malformed("checksum mismatch (corrupted file)");
-    }
-  }
-  std::istringstream in(text.substr(checksum_end + 1));
-  std::string line;
+  std::string_view body;
+  const Status framed = UnframeRecordFile(text, kMagic, &body);
+  if (!framed.ok()) return Malformed(framed.message());
+  RecordLines in(body);
   EngineCheckpoint ckpt;
-  if (!std::getline(in, line) || line.rfind("identity ", 0) != 0) {
+  std::string_view identity;
+  if (!in.NextRest("identity", &identity)) {
     return Malformed("missing identity line");
   }
-  ckpt.identity = line.substr(std::strlen("identity "));
+  ckpt.identity = std::string(identity);
 
-  auto next_tokens = [&](const char* keyword, size_t count,
-                         std::vector<std::string>* toks) -> bool {
-    if (!std::getline(in, line)) return false;
-    *toks = SplitTokens(line);
-    return toks->size() == count + 1 && (*toks)[0] == keyword;
-  };
-
-  std::vector<std::string> toks;
-  if (!next_tokens("shape", 2, &toks) ||
-      !ParseInt(toks[1], &ckpt.num_queries) ||
-      !ParseInt(toks[2], &ckpt.num_candidates) || ckpt.num_queries <= 0 ||
+  std::vector<std::string_view> toks;
+  if (!in.Next("shape", 2, &toks) ||
+      !ParseInteger(toks[1], &ckpt.num_queries) ||
+      !ParseInteger(toks[2], &ckpt.num_candidates) || ckpt.num_queries <= 0 ||
       ckpt.num_candidates <= 0) {
     return Malformed("bad shape line");
   }
-  if (!next_tokens("budget", 1, &toks) || !ParseI64(toks[1], &ckpt.budget) ||
+  if (!in.Next("budget", 1, &toks) || !ParseInteger(toks[1], &ckpt.budget) ||
       ckpt.budget < 0) {
     return Malformed("bad budget line");
   }
-  if (!next_tokens("round", 1, &toks) || !ParseInt(toks[1], &ckpt.round) ||
+  if (!in.Next("round", 1, &toks) || !ParseInteger(toks[1], &ckpt.round) ||
       ckpt.round < 1) {
     return Malformed("bad round line");
   }
-  if (!next_tokens("counters", 4, &toks) ||
-      !ParseI64(toks[1], &ckpt.calls_made) ||
-      !ParseI64(toks[2], &ckpt.cache_hits) ||
-      !ParseI64(toks[3], &ckpt.degraded_cells) ||
-      !ParseI64(toks[4], &ckpt.batched_cells) || ckpt.calls_made < 0 ||
+  if (!in.Next("counters", 4, &toks) ||
+      !ParseInteger(toks[1], &ckpt.calls_made) ||
+      !ParseInteger(toks[2], &ckpt.cache_hits) ||
+      !ParseInteger(toks[3], &ckpt.degraded_cells) ||
+      !ParseInteger(toks[4], &ckpt.batched_cells) || ckpt.calls_made < 0 ||
       ckpt.cache_hits < 0 || ckpt.degraded_cells < 0 ||
       ckpt.batched_cells < 0) {
     return Malformed("bad counters line");
   }
-  if (!next_tokens("sim", 1, &toks) ||
+  if (!in.Next("sim", 1, &toks) ||
       !ParseHexDouble(toks[1], &ckpt.sim_seconds) || ckpt.sim_seconds < 0.0) {
     return Malformed("bad sim line");
   }
-  if (!next_tokens("faults", 4, &toks) ||
-      !ParseI64(toks[1], &ckpt.fault_transient) ||
-      !ParseI64(toks[2], &ckpt.fault_sticky) ||
-      !ParseI64(toks[3], &ckpt.fault_timeouts) ||
-      !ParseI64(toks[4], &ckpt.retry_attempts) || ckpt.fault_transient < 0 ||
-      ckpt.fault_sticky < 0 || ckpt.fault_timeouts < 0 ||
-      ckpt.retry_attempts < 0) {
+  if (!in.Next("faults", 4, &toks) ||
+      !ParseInteger(toks[1], &ckpt.fault_transient) ||
+      !ParseInteger(toks[2], &ckpt.fault_sticky) ||
+      !ParseInteger(toks[3], &ckpt.fault_timeouts) ||
+      !ParseInteger(toks[4], &ckpt.retry_attempts) ||
+      ckpt.fault_transient < 0 || ckpt.fault_sticky < 0 ||
+      ckpt.fault_timeouts < 0 || ckpt.retry_attempts < 0) {
     return Malformed("bad faults line");
   }
-  if (!next_tokens("governor", 5, &toks) ||
-      !ParseI64(toks[1], &ckpt.governor_skipped) ||
-      !ParseI64(toks[2], &ckpt.governor_banked) ||
-      !ParseI64(toks[3], &ckpt.governor_reallocated) ||
-      !ParseInt(toks[4], &ckpt.governor_stop_round) ||
-      !ParseI64(toks[5], &ckpt.governor_stop_calls)) {
+  if (!in.Next("governor", 5, &toks) ||
+      !ParseInteger(toks[1], &ckpt.governor_skipped) ||
+      !ParseInteger(toks[2], &ckpt.governor_banked) ||
+      !ParseInteger(toks[3], &ckpt.governor_reallocated) ||
+      !ParseInteger(toks[4], &ckpt.governor_stop_round) ||
+      !ParseInteger(toks[5], &ckpt.governor_stop_calls)) {
     return Malformed("bad governor line");
   }
-  int64_t num_events = 0;
-  if (!next_tokens("events", 1, &toks) || !ParseI64(toks[1], &num_events) ||
-      num_events < 0) {
+  size_t num_events = 0;
+  if (!in.Next("events", 1, &toks) || !ParseInteger(toks[1], &num_events) ||
+      num_events > body.size()) {
     return Malformed("bad events line");
   }
-  ckpt.events.reserve(static_cast<size_t>(num_events));
+  ckpt.events.reserve(num_events);
   int64_t charged_count = 0;
   double sim_sum = 0.0;
   int prev_round = 0;
-  for (int64_t i = 0; i < num_events; ++i) {
-    if (!std::getline(in, line)) return Malformed("truncated event list");
+  for (size_t i = 0; i < num_events; ++i) {
+    std::string_view line;
+    if (!in.Next(&line)) return Malformed("truncated event list");
     toks = SplitTokens(line);
     CheckpointEvent e;
     if (toks.empty() || (toks[0] != "C" && toks[0] != "D")) {
@@ -244,8 +159,8 @@ StatusOr<EngineCheckpoint> ParseCheckpoint(const std::string& text) {
     }
     e.charged = toks[0] == "C";
     const size_t expect = e.charged ? 6 : 5;
-    if (toks.size() != expect || !ParseInt(toks[1], &e.query_id) ||
-        !ParseInt(toks[2], &e.round) ||
+    if (toks.size() != expect || !ParseInteger(toks[1], &e.query_id) ||
+        !ParseInteger(toks[2], &e.round) ||
         !ParseHexDouble(toks[3], &e.sim_seconds)) {
       return Malformed("bad event line");
     }
@@ -255,22 +170,19 @@ StatusOr<EngineCheckpoint> ParseCheckpoint(const std::string& text) {
       pos_tok = 5;
     }
     // Comma-separated member positions, strictly ascending.
-    const std::string& plist = toks[pos_tok];
-    size_t start = 0;
-    while (start < plist.size()) {
-      size_t comma = plist.find(',', start);
-      if (comma == std::string::npos) comma = plist.size();
-      int64_t p = 0;
-      if (!ParseI64(plist.substr(start, comma - start), &p) || p < 0 ||
-          p >= ckpt.num_candidates) {
+    std::string_view plist = toks[pos_tok];
+    while (!plist.empty()) {
+      const size_t comma = std::min(plist.find(','), plist.size());
+      size_t p = 0;
+      if (!ParseInteger(plist.substr(0, comma), &p) ||
+          p >= static_cast<size_t>(ckpt.num_candidates)) {
         return Malformed("event position out of range");
       }
-      if (!e.positions.empty() &&
-          static_cast<size_t>(p) <= e.positions.back()) {
+      if (!e.positions.empty() && p <= e.positions.back()) {
         return Malformed("event positions not ascending");
       }
-      e.positions.push_back(static_cast<size_t>(p));
-      start = comma + 1;
+      e.positions.push_back(p);
+      plist.remove_prefix(std::min(comma + 1, plist.size()));
     }
     if (e.positions.empty()) return Malformed("event with empty configuration");
     if (e.query_id < 0 || e.query_id >= ckpt.num_queries) {
@@ -285,7 +197,8 @@ StatusOr<EngineCheckpoint> ParseCheckpoint(const std::string& text) {
     sim_sum += e.sim_seconds;
     ckpt.events.push_back(std::move(e));
   }
-  if (!std::getline(in, line) || line != "end") {
+  std::string_view line;
+  if (!in.Next(&line) || line != "end" || !in.AtEnd()) {
     return Malformed("missing end marker");
   }
   if (charged_count != ckpt.calls_made) {
@@ -311,22 +224,9 @@ Status SaveCheckpoint(const EngineCheckpoint& ckpt, const std::string& path) {
 }
 
 StatusOr<EngineCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open checkpoint: " + path);
-  }
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("error reading checkpoint: " + path);
-  }
-  return ParseCheckpoint(text);
+  StatusOr<std::string> text = ReadWholeFile(path);
+  if (!text.ok()) return text.status();
+  return ParseCheckpoint(*text);
 }
 
 }  // namespace bati

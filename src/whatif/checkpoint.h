@@ -68,19 +68,13 @@ struct EngineCheckpoint {
   std::vector<CheckpointEvent> events;
 };
 
-/// Hex-float round-trip helpers, shared with the other checkpoint writers
-/// (the serve daemon's state file): "%a" formatting parses back bit-exactly
-/// through strtod, which is what makes text checkpoints resumable without
-/// drift.
-void AppendHexDouble(std::string* out, double value);
-bool ParseHexDouble(const std::string& token, double* out);
-
 /// Serializes a checkpoint to its line-based text form (format v2). Costs
 /// and simulated seconds are written as hexadecimal floats, so parsing
 /// round-trips every double bit-exactly — a requirement for bit-identical
-/// resume. The header carries a `checksum <crc32> <bytes>` line covering
-/// the whole body, so truncation or bit corruption anywhere in the file is
-/// detected up front.
+/// resume. The file uses the common record-file framing (common/
+/// record_file.h): a `checksum <crc32> <bytes>` line covers the whole body,
+/// so truncation or bit corruption anywhere in the file is detected up
+/// front.
 std::string SerializeCheckpoint(const EngineCheckpoint& ckpt);
 
 /// Parses SerializeCheckpoint() output, validating the version + checksum
@@ -90,11 +84,11 @@ std::string SerializeCheckpoint(const EngineCheckpoint& ckpt);
 /// InvalidArgument — never a silently shortened journal.
 StatusOr<EngineCheckpoint> ParseCheckpoint(const std::string& text);
 
-/// Writes the checkpoint to `path` through the shared write-temp-then-
-/// rename helper, so a crash mid-write never leaves a truncated file.
+/// Writes the checkpoint to `path` through AtomicWriteFile, so a crash
+/// mid-write never leaves a truncated file.
 Status SaveCheckpoint(const EngineCheckpoint& ckpt, const std::string& path);
 
-/// Reads and parses a checkpoint file.
+/// Reads and parses a checkpoint file: NotFound when it is missing.
 StatusOr<EngineCheckpoint> LoadCheckpoint(const std::string& path);
 
 }  // namespace bati

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "common/file_util.h"
+#include "common/record_file.h"
 
 namespace bati {
 

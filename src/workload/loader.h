@@ -23,9 +23,6 @@ StatusOr<Workload> LoadWorkloadFromSql(std::string workload_name,
                                        std::shared_ptr<const Database> db,
                                        std::string_view sql_script);
 
-/// Convenience: reads a file into a string. NotFound on I/O failure.
-StatusOr<std::string> ReadFileToString(const std::string& path);
-
 /// Inverse of LoadSchemaFromDdl: renders a database as an annotated DDL
 /// script (CREATE TABLE ... NDV/RANGE ... WITH (ROWS = n)). Histograms are
 /// not representable in the DDL dialect and are dropped; everything else

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/file_util.h"
+#include "common/record_file.h"
 #include "harness/experiment.h"
 #include "whatif/checkpoint.h"
 #include "whatif/cost_service.h"

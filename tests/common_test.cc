@@ -1,9 +1,14 @@
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/bitset.h"
+#include "common/json.h"
+#include "common/record_file.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -241,6 +246,149 @@ TEST(Strings, SplitAndTrim) {
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(StartsWith("mcts-prior-bg", "mcts"));
   EXPECT_FALSE(StartsWith("mc", "mcts"));
+}
+
+// ---------- JSON codec ----------
+
+TEST(Json, ReadsEveryValueKindAndEscape) {
+  JsonReader r(R"( {"s":"a\"b\\c\/\n\t\r\b\fé","i":-12,)"
+               R"("d":2.5e-1,"b":false,"n":null,"o":{"x":[1,{}]}} )");
+  ASSERT_TRUE(r.BeginObject("doc").ok());
+  bool more = false;
+  std::string_view key;
+  std::string s;
+  int64_t i = 0;
+  double d = 0.0;
+  bool b = true;
+  ASSERT_TRUE(r.NextKey(&more, &key).ok() && more && key == "s");
+  ASSERT_TRUE(r.ReadString(key, &s).ok());
+  EXPECT_EQ(s, "a\"b\\c/\n\t\r\b\fé");
+  ASSERT_TRUE(r.NextKey(&more, &key).ok() && more && key == "i");
+  ASSERT_TRUE(r.ReadInt(key, -100, 100, &i).ok());
+  EXPECT_EQ(i, -12);
+  ASSERT_TRUE(r.NextKey(&more, &key).ok() && more && key == "d");
+  ASSERT_TRUE(r.ReadNumber(key, 0.0, 1.0, &d).ok());
+  EXPECT_EQ(d, 0.25);
+  ASSERT_TRUE(r.NextKey(&more, &key).ok() && more && key == "b");
+  ASSERT_TRUE(r.ReadBool(key, &b).ok());
+  EXPECT_FALSE(b);
+  ASSERT_TRUE(r.NextKey(&more, &key).ok() && more && key == "n");
+  ASSERT_TRUE(r.SkipValue().ok());
+  ASSERT_TRUE(r.NextKey(&more, &key).ok() && more && key == "o");
+  ASSERT_TRUE(r.SkipValue().ok());
+  ASSERT_TRUE(r.NextKey(&more, &key).ok());
+  EXPECT_FALSE(more);
+  EXPECT_TRUE(r.ExpectEnd().ok());
+}
+
+TEST(Json, RejectsWhatRfc8259Rejects) {
+  for (const char* text :
+       {"nan", "inf", "-inf", "0x10", "+1", ".5", "01", "1.", "1e", "-",
+        "\"a\nb\"", "\"\\x\"", "\"\\ud800\"", "\"open", "tru", "[1,]",
+        "{\"a\":1,}", "{\"a\" 1}", "[1 2]"}) {
+    JsonReader r(text);
+    EXPECT_FALSE(r.SkipValue().ok() && r.ExpectEnd().ok()) << text;
+  }
+  const std::string deep = std::string(100, '[') + std::string(100, ']');
+  JsonReader r(deep);
+  EXPECT_FALSE(r.SkipValue().ok());
+}
+
+TEST(Json, IntegersAreExactAndInRange) {
+  struct Case {
+    const char* text;
+    bool ok;
+    int64_t value;
+  } cases[] = {{"4294967296", false, 0},  {"2147483647", true, 2147483647},
+               {"1e30", false, 0},         {"1e3", true, 1000},
+               {"1.5", false, 0},          {"-1", false, 0},
+               {"9223372036854775808", false, 0}};
+  for (const Case& c : cases) {
+    JsonReader r(c.text);
+    int64_t v = -7;
+    const Status st = r.ReadInt("n", 0, 2147483647, &v);
+    EXPECT_EQ(st.ok(), c.ok) << c.text << ": " << st.message();
+    if (c.ok) {
+      EXPECT_EQ(v, c.value);
+    }
+  }
+}
+
+TEST(Json, WriterEscapesAndRoundTrips) {
+  const std::string nasty = "q\"b\\ c/\n\t\r\b\f end";
+  const std::string doc = JsonWriter()
+                              .String("s", nasty)
+                              .Int("i", -3)
+                              .Double("d", 0.1 + 0.2)
+                              .Bool("b", true)
+                              .Finish();
+  EXPECT_EQ(doc.find('\n'), std::string::npos) << doc;
+  JsonReader r(doc);
+  std::string s;
+  double d = 0.0;
+  Status st = ReadFlatObject(&r, "doc", [&](std::string_view key) {
+    if (key == "s") return r.ReadString(key, &s);
+    if (key == "d") return r.ReadNumber(key, 0.0, 1.0, &d);
+    return r.SkipValue();
+  });
+  ASSERT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(s, nasty);
+  EXPECT_EQ(d, 0.1 + 0.2);
+  EXPECT_EQ(JsonEscape("a\"\x1f"), "a\\\"\\u001f");
+}
+
+// ---------- Record file ----------
+
+TEST(RecordFile, FramingRoundTripsAndNamesVersions) {
+  const std::string framed = FrameRecordFile("bati-test v2", "a 1\nb 2\n");
+  std::string_view body;
+  ASSERT_TRUE(UnframeRecordFile(framed, "bati-test v2", &body).ok());
+  EXPECT_EQ(body, "a 1\nb 2\n");
+  const Status old = UnframeRecordFile("bati-test v1\na 1\n", "bati-test v2",
+                                       &body);
+  EXPECT_NE(old.message().find("v1"), std::string::npos) << old.message();
+  EXPECT_FALSE(UnframeRecordFile("other\n", "bati-test v2", &body).ok());
+  RecordLines lines("k 1 2\nrest of line\n");
+  std::vector<std::string_view> toks;
+  ASSERT_TRUE(lines.Next("k", 2, &toks));
+  std::string_view rest;
+  ASSERT_TRUE(lines.NextRest("rest", &rest));
+  EXPECT_EQ(rest, "of line");
+  EXPECT_TRUE(lines.AtEnd());
+}
+
+TEST(RecordFile, TokenHelpersAreStrict) {
+  int64_t i = 0;
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseInteger("-42", &i));
+  EXPECT_EQ(i, -42);
+  EXPECT_FALSE(ParseInteger("+1", &i));
+  EXPECT_FALSE(ParseInteger(" 1", &i));
+  EXPECT_FALSE(ParseInteger("-1", &u));
+  EXPECT_FALSE(ParseInteger("18446744073709551616", &u));
+  for (double v : {0.0, -0.0, 0.1 + 0.2, 1e-300, 4.9e-324, -1.5e300}) {
+    std::string text;
+    AppendHexDouble(&text, v);
+    double back = 1.0;
+    ASSERT_TRUE(ParseHexDouble(text, &back)) << text;
+    EXPECT_EQ(std::signbit(back), std::signbit(v));
+    EXPECT_EQ(back, v) << text;
+  }
+  double d = 0.0;
+  for (const char* bad : {"nan", "inf", "1.5", "0x", "0x-1p+0", "0x1p+0 "}) {
+    EXPECT_FALSE(ParseHexDouble(bad, &d)) << bad;
+  }
+}
+
+TEST(RecordFile, ReadWholeFileDistinguishesMissingFiles) {
+  EXPECT_EQ(ReadWholeFile("/no/such/file").status().code(),
+            StatusCode::kNotFound);
+  const std::string path = testing::TempDir() + "/bati_record_file_test";
+  ASSERT_TRUE(AtomicWriteFile(path, "contents").ok());
+  const StatusOr<std::string> text = ReadWholeFile(path);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(*text, "contents");
+  std::remove(path.c_str());
 }
 
 }  // namespace

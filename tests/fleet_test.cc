@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/record_file.h"
 #include "fleet/chaos.h"
 #include "fleet/coordinator.h"
 #include "fleet/wire.h"
@@ -104,6 +105,36 @@ TEST(Wire, ResultRoundTripAndCorruptionDetection) {
   const std::string garbled = EncodeGarbledResultLine(frame);
   EXPECT_FALSE(
       ParseResultLine(garbled.substr(0, garbled.size() - 1), &parsed).ok());
+}
+
+TEST(Wire, FleetStateRejectsEveryTruncationAndBitFlip) {
+  std::vector<ResultFrame> done(2);
+  done[0].task_id = 1;
+  done[0].payload = "{\"workload\":\"toy\"}";
+  done[1].task_id = 3;
+  done[1].attempt = 2;
+  done[1].ok = false;
+  done[1].payload = "{\"error\":\"x\"}";
+  const std::string good = EncodeFleetState(done);
+  std::vector<ResultFrame> parsed;
+  ASSERT_TRUE(ParseFleetState(good, 3, &parsed).ok());
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[1].task_id, 3u);
+  EXPECT_EQ(parsed[1].payload, done[1].payload);
+  EXPECT_FALSE(ParseFleetState(good, 2, &parsed).ok());  // task 3 of 2
+  // Every prefix fails — including the one that ends exactly where the
+  // last RESULT line begins, which a per-line check alone accepts.
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(ParseFleetState(good.substr(0, len), 3, &parsed).ok())
+        << "prefix of length " << len << " accepted";
+    EXPECT_TRUE(parsed.empty());
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    std::string flipped = good;
+    flipped[i] ^= 0x01;
+    EXPECT_FALSE(ParseFleetState(flipped, 3, &parsed).ok())
+        << "bit flip at byte " << i << " accepted";
+  }
 }
 
 // ---- Chaos injector. ---------------------------------------------------
@@ -331,6 +362,34 @@ TEST(Fleet, CorruptStateFileFallsBackFresh) {
   const std::vector<std::string> out = CollectFleet(options, specs, &stats);
   ExpectSameLines(out, baseline);
   EXPECT_EQ(stats.ok, specs.size());
+}
+
+TEST(Fleet, TruncatedStateFileFallsBackFresh) {
+  // A state file that lost its last RESULT line (a torn copy, say) is
+  // rejected as a whole: the resumed fleet re-runs every task instead of
+  // trusting the surviving lines.
+  std::vector<RunSpec> specs = AllAlgorithmSpecs();
+  specs.resize(2);
+  const std::vector<std::string> baseline = SequentialCanonical(specs);
+  const std::string dir = MakeTempDir("tornstate");
+  FleetOptions options;
+  options.workers = 2;
+  options.state_dir = dir;
+  options.state_path = dir + "/fleet.state";
+  FleetStats first;
+  ExpectSameLines(CollectFleet(options, specs, &first), baseline);
+  StatusOr<std::string> state = ReadWholeFile(options.state_path);
+  ASSERT_TRUE(state.ok());
+  ASSERT_EQ(state->back(), '\n');
+  const size_t last_line = state->rfind('\n', state->size() - 2) + 1;
+  ASSERT_TRUE(
+      AtomicWriteFile(options.state_path, state->substr(0, last_line)).ok());
+
+  options.resume = true;
+  FleetStats stats;
+  ExpectSameLines(CollectFleet(options, specs, &stats), baseline);
+  EXPECT_EQ(stats.ok, specs.size());
+  EXPECT_GE(stats.dispatches, specs.size());
 }
 
 TEST(Fleet, UnknownWorkloadMatchesBatchErrorLine) {

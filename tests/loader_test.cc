@@ -120,11 +120,6 @@ TEST(Loader, ReportsStatementNumberOnBindError) {
             std::string::npos);
 }
 
-TEST(Loader, ReadFileToStringHandlesMissingFile) {
-  EXPECT_EQ(ReadFileToString("/no/such/file").status().code(),
-            StatusCode::kNotFound);
-}
-
 TEST(Loader, EndToEndTuningOnLoadedSchema) {
   auto db = LoadSchemaFromDdl("shop", kSchema);
   ASSERT_TRUE(db.ok());

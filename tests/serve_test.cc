@@ -143,6 +143,23 @@ TEST(ServeEventJsonTest, RejectsMalformedEventsWithLineNumbers) {
       {R"({"type":"query","tenant":"t","query":0} trailing)", "trailing"},
       {R"({"type":"query","tenant":"t","nested":{"a":1}})", "nested"},
       {R"(not json at all)", "JSON object"},
+      // Numbers follow RFC 8259: none of these is a JSON number.
+      {R"({"type":"query","tenant":"t","query":0,"weight":nan})", "number"},
+      {R"({"type":"query","tenant":"t","query":0,"weight":inf})", "number"},
+      {R"({"type":"query","tenant":"t","query":0,"weight":0x10})",
+       "malformed number"},
+      {R"({"type":"query","tenant":"t","query":+1})", "number"},
+      {R"({"type":"query","tenant":"t","query":0,"weight":.5})", "number"},
+      {R"({"type":"advance","seconds":inf})", "number"},
+      {R"({"type":"advance","seconds":nan})", "number"},
+      // Integers must fit the field, never wrap or truncate.
+      {R"({"type":"query","tenant":"t","query":4294967296})", "out of range"},
+      {R"({"type":"query","tenant":"t","query":1e30})", "out of range"},
+      {R"({"type":"register","tenant":"t","workload":"toy",)"
+       R"("fault_rate":nan})",
+       "fault_rate"},
+      {"{\"type\":\"query\",\"tenant\":\"t\x01\",\"query\":0}",
+       "control character"},
   };
   for (const auto& test_case : kCases) {
     ServeEvent event;
@@ -513,33 +530,61 @@ TEST(ServeCheckpointTest, ParseRejectsMalformedText) {
       ParseServeCheckpoint(SerializeServeCheckpoint(high_id)).ok());
 }
 
-TEST(ServeCheckpointTest, ParsesV1CheckpointsWithSignalDefaults) {
-  // A pre-signal-layer (v1) checkpoint has no signal or calibration
-  // lines; parsing one must default to what-if / uncalibrated so fleets
-  // can upgrade in place.
+TEST(ServeCheckpointTest, RejectsEveryTruncationAndBitFlip) {
+  // The v3 framing (magic + body checksum + body length) turns arbitrary
+  // file damage into a clean rejection, as for the what-if checkpoint.
+  const std::string good = SerializeServeCheckpoint(MakeCheckpoint());
+  ASSERT_TRUE(ParseServeCheckpoint(good).ok());
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(ParseServeCheckpoint(good.substr(0, len)).ok())
+        << "prefix of length " << len << " accepted";
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    std::string flipped = good;
+    flipped[i] ^= 0x01;
+    EXPECT_FALSE(ParseServeCheckpoint(flipped).ok())
+        << "bit flip at byte " << i << " accepted";
+  }
+}
+
+TEST(ServeCheckpointTest, RejectsCountersEditedInPlace) {
+  // A query counter edited from 2 to 7 and a forged clock used to resume
+  // without error and report queries that were never processed.
   ServeCheckpoint ckpt = MakeCheckpoint();
-  ckpt.signal = SignalKind::kWhatIf;
-  for (ServeTenantState& t : ckpt.tenants) {
-    t.calib_samples = 0;
-    t.calib_sum = 0.0;
+  ckpt.queries = 2;
+  const std::string good = SerializeServeCheckpoint(ckpt);
+  for (const auto& [line, forged] :
+       {std::pair<std::string, std::string>{"\ncounters ", "7"},
+        {"\nclock ", "0x1.8p+40"}}) {
+    // Replace the first value on the line with the forged one.
+    std::string tampered = good;
+    const size_t at = tampered.find(line);
+    ASSERT_NE(at, std::string::npos) << line;
+    const size_t value = at + line.rfind(' ') + 1;
+    const size_t end = tampered.find_first_of(" \n", value + 1);
+    tampered.replace(value, end - value, forged);
+    ASSERT_NE(tampered, good);
+    const StatusOr<ServeCheckpoint> parsed = ParseServeCheckpoint(tampered);
+    ASSERT_FALSE(parsed.ok()) << forged;
+    EXPECT_NE(parsed.status().message().find("mismatch"), std::string::npos)
+        << parsed.status().ToString();
   }
-  std::string v1;
-  for (const std::string& line : SplitLines(SerializeServeCheckpoint(ckpt))) {
-    if (line == "bati-serve v2") {
-      v1 += "bati-serve v1\n";
-    } else if (line.rfind("signal ", 0) == 0 ||
-               line.rfind("calibration ", 0) == 0) {
-      // dropped in the v1 grammar
-    } else {
-      v1 += line + "\n";
-    }
+}
+
+TEST(ServeCheckpointTest, RejectsV1AndV2FilesNamingTheVersion) {
+  // v1 and v2 checkpoints carry no checksum, so they are no longer
+  // trusted; the error names the version so the operator knows to restart
+  // without --resume.
+  const std::string v3 = SerializeServeCheckpoint(MakeCheckpoint());
+  const size_t body = v3.find('\n', v3.find('\n') + 1) + 1;
+  for (const char* version : {"v1", "v2"}) {
+    const std::string old =
+        std::string("bati-serve ") + version + "\n" + v3.substr(body);
+    const StatusOr<ServeCheckpoint> parsed = ParseServeCheckpoint(old);
+    ASSERT_FALSE(parsed.ok()) << version;
+    EXPECT_NE(parsed.status().message().find(version), std::string::npos)
+        << parsed.status().ToString();
   }
-  StatusOr<ServeCheckpoint> parsed = ParseServeCheckpoint(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(*parsed, ckpt);
-  // Re-serializing writes the v2 grammar — the upgrade is one-way.
-  EXPECT_NE(SerializeServeCheckpoint(*parsed).find("bati-serve v2"),
-            std::string::npos);
 }
 
 TEST(ServeCheckpointTest, SaveLoadRoundTripAndMissingFile) {
@@ -623,7 +668,13 @@ TEST(ServeDaemonTest, EmitsStructuredErrorsAndKeepsServing) {
   out.clear();
   daemon.ProcessLine(R"({"type":"query","tenant":"t","query":99})", &out);
   EXPECT_NE(out.find("\"code\":\"out-of-range\""), std::string::npos);
-  // The daemon is still healthy after six rejected events.
+  // A non-JSON weight used to pass the parser and abort the daemon on the
+  // observer's positive-weight check.
+  out.clear();
+  daemon.ProcessLine(
+      R"({"type":"query","tenant":"t","query":0,"weight":nan})", &out);
+  EXPECT_NE(out.find("\"code\":\"invalid-argument\""), std::string::npos);
+  // The daemon is still healthy after seven rejected events.
   out.clear();
   daemon.ProcessLine(R"({"type":"query","tenant":"t","query":0})", &out);
   EXPECT_NE(out.find("\"type\":\"query\""), std::string::npos);

@@ -383,6 +383,17 @@ TEST(SpecJsonTest, LineParserPrefixesLineNumbers) {
       {"{\"workload\":\"toy\",\"budget\":-5}", "budget"},
       {"{\"workload\":\"toy\",\"budget\":\"lots\"}", "budget"},
       {"{\"workload\":\"toy\"} trailing garbage", "trailing"},
+      // Numbers follow RFC 8259: none of these is a JSON number.
+      {"{\"workload\":\"toy\",\"budget\":nan}", "budget"},
+      {"{\"workload\":\"toy\",\"fault_rate\":nan}", "fault_rate"},
+      {"{\"workload\":\"toy\",\"fault_rate\":inf}", "fault_rate"},
+      {"{\"workload\":\"toy\",\"seed\":0x10}", "malformed number"},
+      {"{\"workload\":\"toy\",\"seed\":+1}", "seed"},
+      {"{\"workload\":\"toy\",\"storage_gb\":.5}", "storage_gb"},
+      // Integers must fit the field, never wrap or truncate.
+      {"{\"workload\":\"toy\",\"k\":4294967297}", "out of range"},
+      {"{\"workload\":\"toy\",\"budget\":1e30}", "out of range"},
+      {"{\"workload\":\"to\x01y\"}", "control character"},
   };
   int lineno = 40;
   for (const Case& c : cases) {

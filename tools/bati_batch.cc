@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/json.h"
 #include "harness/experiment.h"
 #include "session/spec_json.h"
 
@@ -43,15 +44,6 @@ void Usage(const char* argv0) {
       "input line; a spec whose workload is unknown yields an error object\n"
       "and a final exit code of 1\n",
       argv0);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -145,9 +137,10 @@ int main(int argc, char** argv) {
   options.on_result = [&](const SessionResult& result) {
     std::string line;
     if (!result.status.ok()) {
-      line = "{\"workload\":\"" + JsonEscape(result.spec.workload) +
-             "\",\"error\":\"" + JsonEscape(result.status.message()) +
-             "\"}";
+      line = JsonWriter()
+                 .String("workload", result.spec.workload)
+                 .String("error", result.status.message())
+                 .Finish();
     } else {
       line = result.result_json;
     }

@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <string>
 
-#include "common/file_util.h"
 #include "common/flags.h"
+#include "common/record_file.h"
 #include "exec/harness.h"
 #include "exec/ycsb.h"
 #include "obs/metrics.h"

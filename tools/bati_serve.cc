@@ -24,8 +24,8 @@
 #include <cstdio>
 #include <string>
 
-#include "common/file_util.h"
 #include "common/flags.h"
+#include "common/record_file.h"
 #include "serve/daemon.h"
 
 namespace {

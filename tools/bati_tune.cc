@@ -13,12 +13,12 @@
 #include <memory>
 #include <string>
 
-#include "common/file_util.h"
 #include "common/flags.h"
+#include "common/record_file.h"
 #include "harness/experiment.h"
+#include "mcts/mcts_tuner.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "mcts/mcts_tuner.h"
 #include "tuner/time_budget.h"
 #include "whatif/cost_service.h"
 #include "whatif/trace_io.h"
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
                    "--schema-file and --sql-file must be used together\n");
       return 1;
     }
-    auto ddl = ReadFileToString(args.schema_file);
+    auto ddl = ReadWholeFile(args.schema_file);
     if (!ddl.ok()) {
       std::fprintf(stderr, "%s\n", ddl.status().ToString().c_str());
       return 1;
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "schema: %s\n", db.status().ToString().c_str());
       return 1;
     }
-    auto sql = ReadFileToString(args.sql_file);
+    auto sql = ReadWholeFile(args.sql_file);
     if (!sql.ok()) {
       std::fprintf(stderr, "%s\n", sql.status().ToString().c_str());
       return 1;

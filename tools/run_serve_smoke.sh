@@ -68,7 +68,7 @@ if [[ "${exit_code}" -ne 0 ]]; then
   echo "error: daemon exited ${exit_code} on SIGTERM" >&2
   exit 1
 fi
-head -1 "${workdir}/state.ckpt" | grep -q '^bati-serve v2$'
+head -1 "${workdir}/state.ckpt" | grep -q '^bati-serve v3$'
 grep -q '^tenant smoke$' "${workdir}/state.ckpt"
 
 echo "serve smoke: OK"
