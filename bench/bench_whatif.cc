@@ -1,13 +1,9 @@
 // Tracked benchmark for the what-if hot path, the refactor's BENCH_*.json
-// trajectory. Measures, per workload (toy / tpch / tpcds / real-d-bench):
-//
-//  * single-thread Explain() throughput through the fast path (SoA
-//    StatsView + memoized skeletons + arena scratch) and through the
-//    preserved reference path, per-call p50/p95 latency, the fast/reference
-//    speedup ratio, and the plan-memo hit rate;
-//  * WhatIfCostMany() cell throughput at 1/4/8 executor threads (workloads
-//    with >= WhatIfExecutor::kParallelThreshold queries only — smaller
-//    batches never engage the pool).
+// trajectory. Measures, per workload (toy / tpch / tpcds / real-d-bench),
+// single-thread Explain() throughput through the fast path (SoA StatsView +
+// memoized skeletons + arena scratch) and through the preserved reference
+// path, per-call p50/p95 latency, the fast/reference speedup ratio, and the
+// plan-memo hit rate.
 //
 // Results land in a JSON file (--out, default BENCH_whatif.json). With
 // --baseline pointing at a committed previous result, the binary exits
@@ -15,6 +11,9 @@
 // more than --max-regression percent. The ratio — both paths measured in
 // the same process on the same machine — is what the nightly job gates on;
 // absolute calls/sec vary with hardware and are reported but never gated.
+// Each repetition times the fast and the reference leg back to back, and
+// the gated speedup is the median of the per-repetition ratios, so a burst
+// of load from other processes moves one ratio, not the result.
 //
 // Usage:
 //   bench_whatif [--out PATH] [--baseline PATH] [--max-regression PCT]
@@ -33,8 +32,6 @@
 #include "common/record_file.h"
 #include "optimizer/what_if.h"
 #include "tuner/candidate_gen.h"
-#include "whatif/cost_service.h"
-#include "whatif/whatif_executor.h"
 #include "workload/generators.h"
 
 namespace bati {
@@ -70,9 +67,12 @@ std::vector<std::vector<int>> SamplePositionSets(int universe, int count,
 }
 
 struct SingleThreadResult {
+  /// Medians over the repetitions.
   double fast_calls_per_sec = 0.0;
   double ref_calls_per_sec = 0.0;
   double speedup = 0.0;
+  /// One fast/reference ratio per repetition.
+  std::vector<double> rep_speedups;
   double p50_us = 0.0;
   double p95_us = 0.0;
   double memo_hit_rate = 0.0;
@@ -80,17 +80,9 @@ struct SingleThreadResult {
   int64_t ref_calls = 0;
 };
 
-struct CostManyResult {
-  bool ran = false;
-  double cells_per_sec[3] = {0.0, 0.0, 0.0};  // 1, 4, 8 threads
-  double scaling_4 = 0.0;                     // vs 1 thread
-  double scaling_8 = 0.0;
-};
-
 struct WorkloadResult {
   std::string name;
   SingleThreadResult single;
-  CostManyResult many;
 };
 
 /// Runs `body(call_index)` repeatedly until at least `min_seconds` elapsed
@@ -128,6 +120,14 @@ double Percentile(std::vector<double>* values, double p) {
   return (*values)[k];
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
 SingleThreadResult BenchSingleThread(const Workload& w,
                                      const CandidateSet& candidates,
                                      bool quick) {
@@ -162,24 +162,33 @@ SingleThreadResult BenchSingleThread(const Workload& w,
   for (const Call& c : calls) fast.Cost(*c.query, *c.config);
   const PlanMemoStats warm = fast.memo_stats();
 
-  // Best-of-N repetitions: the gate compares speedup ratios against a
-  // committed baseline, and on a shared machine a single measurement leg
-  // carries 10-15% scheduler noise — enough to trip a 10% gate spuriously.
-  // The best repetition tracks machine capability, which is stable.
-  const double min_s = quick ? 0.2 : 1.0;
-  const int reps = quick ? 1 : 3;
+  const double min_s = 0.2;
+  const int reps = quick ? 1 : 11;
   std::vector<double> latencies_us;
   latencies_us.reserve(static_cast<size_t>(sweep) * 4);
+  std::vector<double> fast_rates;
+  std::vector<double> ref_rates;
   for (int rep = 0; rep < reps; ++rep) {
     int64_t rep_calls = 0;
-    const double rate = MeasureCalls(
+    const double fast_rate = MeasureCalls(
         sweep, min_s,
         [&](int i) { fast.Cost(*calls[static_cast<size_t>(i)].query,
                                *calls[static_cast<size_t>(i)].config); },
         &latencies_us, &rep_calls);
-    r.fast_calls_per_sec = std::max(r.fast_calls_per_sec, rate);
     r.fast_calls += rep_calls;
+    const double ref_rate = MeasureCalls(
+        sweep, min_s,
+        [&](int i) { reference.Cost(*calls[static_cast<size_t>(i)].query,
+                                    *calls[static_cast<size_t>(i)].config); },
+        nullptr, &rep_calls);
+    r.ref_calls += rep_calls;
+    fast_rates.push_back(fast_rate);
+    ref_rates.push_back(ref_rate);
+    r.rep_speedups.push_back(ref_rate == 0.0 ? 0.0 : fast_rate / ref_rate);
   }
+  r.fast_calls_per_sec = Median(fast_rates);
+  r.ref_calls_per_sec = Median(ref_rates);
+  r.speedup = Median(r.rep_speedups);
   r.p50_us = Percentile(&latencies_us, 0.50);
   r.p95_us = Percentile(&latencies_us, 0.95);
 
@@ -190,67 +199,6 @@ SingleThreadResult BenchSingleThread(const Workload& w,
                         ? 0.0
                         : static_cast<double>(hits) /
                               static_cast<double>(hits + misses);
-
-  for (int rep = 0; rep < reps; ++rep) {
-    int64_t rep_calls = 0;
-    const double rate = MeasureCalls(
-        sweep, min_s,
-        [&](int i) { reference.Cost(*calls[static_cast<size_t>(i)].query,
-                                    *calls[static_cast<size_t>(i)].config); },
-        nullptr, &rep_calls);
-    r.ref_calls_per_sec = std::max(r.ref_calls_per_sec, rate);
-    r.ref_calls += rep_calls;
-  }
-  r.speedup = r.ref_calls_per_sec == 0.0
-                  ? 0.0
-                  : r.fast_calls_per_sec / r.ref_calls_per_sec;
-  return r;
-}
-
-CostManyResult BenchCostMany(const Workload& w, const CandidateSet& candidates,
-                             bool quick) {
-  CostManyResult r;
-  if (static_cast<size_t>(w.num_queries()) <
-      WhatIfExecutor::kParallelThreshold) {
-    return r;  // batches this small never engage the pool
-  }
-  r.ran = true;
-  const auto position_sets =
-      SamplePositionSets(candidates.size(), quick ? 6 : 16, 6, 0x90A1);
-  std::vector<int> all_queries;
-  for (int q = 0; q < w.num_queries(); ++q) all_queries.push_back(q);
-  // Every (config, query) cell is distinct, so every cell is an uncached
-  // evaluation: the benchmark measures the executor, not the cache.
-  const int64_t budget =
-      static_cast<int64_t>(position_sets.size()) * w.num_queries() + 16;
-
-  // One shared fast-path optimizer: warming its skeleton memo up front
-  // makes the three thread counts measure identical work.
-  WhatIfOptimizer optimizer(w.database);
-  for (const Query& q : w.queries) optimizer.Cost(q, {});
-
-  const int threads[3] = {1, 4, 8};
-  for (int t = 0; t < 3; ++t) {
-    CostEngineOptions options;
-    options.whatif_pool_size = threads[t];
-    // Fresh service per thread count: identical work, empty cache.
-    CostService service(&optimizer, &w, &candidates.indexes, budget, options);
-    const double start = NowSeconds();
-    int64_t cells = 0;
-    for (const auto& set : position_sets) {
-      Config c = service.EmptyConfig();
-      for (int pos : set) c.set(static_cast<size_t>(pos));
-      std::vector<std::optional<double>> out =
-          service.WhatIfCostMany(all_queries, c);
-      cells += static_cast<int64_t>(out.size());
-    }
-    r.cells_per_sec[t] =
-        static_cast<double>(cells) / (NowSeconds() - start);
-  }
-  if (r.cells_per_sec[0] > 0.0) {
-    r.scaling_4 = r.cells_per_sec[1] / r.cells_per_sec[0];
-    r.scaling_8 = r.cells_per_sec[2] / r.cells_per_sec[0];
-  }
   return r;
 }
 
@@ -258,9 +206,9 @@ std::string ToJson(const std::vector<WorkloadResult>& results) {
   std::string out = "{\n  \"suite\": \"whatif_hot_path\",\n";
   out += "  \"gate\": \"speedup\",\n";
   char buf[512];
-  // Thread-scaling numbers are only meaningful relative to the cores the
-  // machine actually had; record it so trajectories across machines can be
-  // read correctly (the regression gate uses the machine-independent
+  // Absolute rates are only meaningful relative to the machine that
+  // measured them; record its core count so trajectories across machines
+  // can be read correctly (the regression gate uses the machine-independent
   // fast/reference speedup ratio only).
   std::snprintf(buf, sizeof(buf), "  \"hardware_concurrency\": %u,\n",
                 std::thread::hardware_concurrency());
@@ -279,29 +227,20 @@ std::string ToJson(const std::vector<WorkloadResult>& results) {
         "        \"p95_us\": %.3f,\n"
         "        \"memo_hit_rate\": %.4f,\n"
         "        \"fast_calls\": %lld,\n"
-        "        \"ref_calls\": %lld\n"
-        "      }",
+        "        \"ref_calls\": %lld,\n"
+        "        \"rep_speedups\": [",
         r.name.c_str(), r.single.fast_calls_per_sec,
         r.single.ref_calls_per_sec, r.single.speedup, r.single.p50_us,
         r.single.p95_us, r.single.memo_hit_rate,
         static_cast<long long>(r.single.fast_calls),
         static_cast<long long>(r.single.ref_calls));
     out += buf;
-    if (r.many.ran) {
-      std::snprintf(buf, sizeof(buf),
-                    ",\n      \"cost_many\": {\n"
-                    "        \"cells_per_sec_1t\": %.1f,\n"
-                    "        \"cells_per_sec_4t\": %.1f,\n"
-                    "        \"cells_per_sec_8t\": %.1f,\n"
-                    "        \"scaling_4t\": %.3f,\n"
-                    "        \"scaling_8t\": %.3f\n"
-                    "      }",
-                    r.many.cells_per_sec[0], r.many.cells_per_sec[1],
-                    r.many.cells_per_sec[2], r.many.scaling_4,
-                    r.many.scaling_8);
+    for (size_t k = 0; k < r.single.rep_speedups.size(); ++k) {
+      std::snprintf(buf, sizeof(buf), "%s%.3f", k == 0 ? "" : ", ",
+                    r.single.rep_speedups[k]);
       out += buf;
     }
-    out += "\n    }";
+    out += "]\n      }\n    }";
     out += i + 1 < results.size() ? ",\n" : "\n";
   }
   out += "  }\n}\n";
@@ -366,19 +305,11 @@ int Run(int argc, char** argv) {
     r.single = BenchSingleThread(w, candidates, quick);
     std::fprintf(stderr,
                  "[bench_whatif] %s: fast %.0f calls/s, ref %.0f calls/s, "
-                 "speedup %.2fx, p50 %.1fus, p95 %.1fus, memo %.1f%%\n",
+                 "median speedup %.2fx, p50 %.1fus, p95 %.1fus, "
+                 "memo %.1f%%\n",
                  name, r.single.fast_calls_per_sec, r.single.ref_calls_per_sec,
                  r.single.speedup, r.single.p50_us, r.single.p95_us,
                  100.0 * r.single.memo_hit_rate);
-    r.many = BenchCostMany(w, candidates, quick);
-    if (r.many.ran) {
-      std::fprintf(stderr,
-                   "[bench_whatif] %s: CostMany %.0f/%.0f/%.0f cells/s at "
-                   "1/4/8 threads (x%.2f, x%.2f)\n",
-                   name, r.many.cells_per_sec[0], r.many.cells_per_sec[1],
-                   r.many.cells_per_sec[2], r.many.scaling_4,
-                   r.many.scaling_8);
-    }
     results.push_back(std::move(r));
   }
 

@@ -236,8 +236,7 @@ BENCHMARK(BM_DerivedDeltaAdd)->Arg(1000)->Arg(4000);
 
 void BM_BatchedWhatIfCostMany(benchmark::State& state) {
   // One tuning "round": what-if the whole workload against one
-  // configuration through the batched engine entry point (thread pool
-  // engages at WhatIfExecutor::kParallelThreshold cells).
+  // configuration through the batched engine entry point.
   const WorkloadBundle& bundle = LoadBundle("tpcds");
   CostService service(bundle.optimizer.get(), &bundle.workload,
                       &bundle.candidates.indexes, 1 << 30);

@@ -12,8 +12,7 @@
 namespace bati {
 
 /// A monotonically increasing counter. Increment/Add are wait-free relaxed
-/// atomics, safe to call from any thread (including the what-if executor's
-/// worker pool); value() is a snapshot-on-read.
+/// atomics, safe to call from any thread; value() is a snapshot-on-read.
 class Counter {
  public:
   void Increment() { value_.fetch_add(1, std::memory_order_relaxed); }
@@ -42,8 +41,8 @@ std::vector<double> ExponentialBuckets(double start, double factor,
 
 /// A fixed-bucket histogram of nonnegative values (latencies, depths, batch
 /// sizes). The recording path is a bucket binary-search plus relaxed atomic
-/// increments — no locks, no allocation — so hot paths and the executor's
-/// worker threads can record concurrently. Percentiles are estimated at
+/// increments — no locks, no allocation — so hot paths on several threads
+/// can record concurrently. Percentiles are estimated at
 /// snapshot time by linear interpolation inside the owning bucket and
 /// clamped to the observed [min, max], which makes them exact when all
 /// observations share one value.

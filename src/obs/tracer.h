@@ -51,10 +51,10 @@ struct TraceEvent {
 /// what-if batches, retries, governor decisions, checkpoint writes...).
 /// Records land in a fixed-capacity ring buffer: once full, the oldest
 /// record is overwritten and counted in dropped() — a run can never grow the
-/// trace beyond `capacity` events. Recording is mutex-serialized (events
-/// arrive from the coordinator thread and occasionally the executor pool)
-/// and cheap enough to leave on for whole tuning runs; with no Tracer wired
-/// up the instrumented code paths skip even the mutex.
+/// trace beyond `capacity` events. Recording is mutex-serialized (one
+/// tracer may be handed to code running on several threads) and cheap
+/// enough to leave on for whole tuning runs; with no Tracer wired up the
+/// instrumented code paths skip even the mutex.
 ///
 /// Export formats:
 ///  * ToChromeJson() — Chrome trace_event "JSON array format" wrapped in an

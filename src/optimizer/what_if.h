@@ -80,7 +80,7 @@ struct PlanMemoStats {
 ///    order itself depends only on configuration-independent cardinalities.
 ///
 /// Thread safety: Cost()/Explain() are const and safe to call concurrently
-/// (the executor's thread pool and concurrent sessions do). The plan memo
+/// (concurrent sessions share one optimizer). The plan memo
 /// is internally synchronized; the per-call scratch arena is thread-local.
 class WhatIfOptimizer {
  public:

@@ -48,8 +48,7 @@ CostService::CostService(const WhatIfOptimizer* optimizer,
       index_(workload == nullptr ? 0 : workload->num_queries(),
              candidates == nullptr
                  ? 0
-                 : static_cast<int>(candidates->size()),
-             options.index_shards),
+                 : static_cast<int>(candidates->size())),
       options_(options) {
   BATI_CHECK(optimizer_ != nullptr);
   BATI_CHECK(workload_ != nullptr);
@@ -69,9 +68,6 @@ CostService::CostService(const WhatIfOptimizer* optimizer,
   if (options_.governor.enabled) {
     governor_ = std::make_unique<BudgetGovernor>(options_.governor, budget,
                                                  base_workload_cost_);
-  }
-  if (options_.whatif_pool_size > 0) {
-    executor_.SetPoolSize(static_cast<size_t>(options_.whatif_pool_size));
   }
   if (options_.faults.enabled) {
     injector_ = std::make_unique<FaultInjector>(options_.faults);
@@ -452,9 +448,9 @@ void CostService::WhatIfCostManyFaulted(
   }
   // Stage 2 — evaluate-then-commit in budget-sized chunks. Budget is
   // charged only on success, so the batch attempts up to `remaining` cells
-  // concurrently, commits in input order, and attempts the next chunk if
-  // failures left budget unspent — reproducing exactly the attempt set of
-  // the sequential WhatIfCost() loop (outcomes are per-cell pure).
+  // as one executor batch, commits in input order, and attempts the next
+  // chunk if failures left budget unspent — reproducing exactly the attempt
+  // set of the sequential WhatIfCost() loop (outcomes are per-cell pure).
   enum : char { kUnresolved = 0, kCharged = 1, kDegraded = 2 };
   std::vector<char> state(pending.size(), kUnresolved);
   if (!pending.empty()) {

@@ -57,13 +57,6 @@ struct CostEngineOptions {
   /// decisions.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
-  /// Shard count for the DerivedCostIndex (rounded up to a power of two);
-  /// 0 picks DerivedCostIndex::kDefaultShards. Sharding changes contention
-  /// and counter attribution, never lookup results.
-  int index_shards = 0;
-  /// Thread-pool size for the executor's batched WhatIfCostMany() path;
-  /// 0 picks min(hardware_concurrency, 8). Never affects results.
-  int whatif_pool_size = 0;
 };
 
 /// Budget-metered access to the what-if optimizer, with caching and cost
@@ -74,7 +67,7 @@ struct CostEngineOptions {
 ///  * BudgetMeter — counting, exhaustion, and the layout trace (paper
 ///    Definition 1);
 ///  * WhatIfExecutor — optimizer invocation, materialization, simulated
-///    latency, and the batched (thread-pooled) CostMany() path;
+///    latency, and the batched CostMany() path;
 ///  * DerivedCostIndex — the what-if cache plus posting lists answering
 ///    Equation-1 subset minima incrementally;
 ///  * BudgetGovernor (optional, src/budget/) — a policy layer between the
@@ -98,7 +91,7 @@ struct CostEngineOptions {
 ///
 ///  * WhatIfCostMany() — semantics of a WhatIfCost() loop (identical
 ///    charging order, caching, and results) with the uncached cells
-///    evaluated concurrently by the executor's thread pool.
+///    evaluated as one executor batch.
 ///  * DerivedCosts() — d(q, C) for every query at once.
 ///  * DerivedCostWithAdd() / DerivedCostDeltaAdd() — d(q, C ∪ {z}) through
 ///    the posting-list index, without rescanning the cache.
@@ -106,6 +99,11 @@ struct CostEngineOptions {
 /// Base costs c(q, {}) are computed up front and are not charged against the
 /// budget, matching the paper's budget allocation matrix whose rows range
 /// over the 2^|I| - 1 non-empty configurations.
+///
+/// A service is single-threaded: it is built and used inside one tuning run
+/// by one thread, and none of its layers locks. Concurrent runs each own a
+/// service (the session pool, the fleet); what they share is the what-if
+/// optimizer, whose skeleton memo and counters are thread-safe.
 class CostService {
  public:
   /// `optimizer`, `workload`, `candidates` must outlive the service.
@@ -194,8 +192,8 @@ class CostService {
   /// Counted what-if calls for one configuration across many queries — the
   /// batched equivalent of calling WhatIfCost(query_ids[i], config) in
   /// order. Budget is charged sequentially in input order (a hard cap, same
-  /// cells succeed/fail as the loop); uncached cells are evaluated
-  /// concurrently by the executor. Results are identical to the loop, with
+  /// cells succeed/fail as the loop); uncached cells are evaluated as one
+  /// executor batch. Results are identical to the loop, with
   /// one governed-run caveat: skip decisions quote the cache as of batch
   /// entry (a sequential loop would see cells cached earlier in the same
   /// batch). Decisions stay deterministic either way.

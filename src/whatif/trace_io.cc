@@ -45,6 +45,11 @@ std::string ResultToJson(const CostService& service,
                          const std::string& algorithm, const Config& config,
                          double true_improvement,
                          const MetricsSnapshot* metrics, bool canonical) {
+  // Read the counters before this function's own DerivedImprovement() call,
+  // so they are the run's frozen counters, equal to what the tool's text
+  // summary reports.
+  CostEngineStats stats = service.EngineStats();
+  if (canonical) stats.executor_wall_seconds = 0.0;
   char buf[64];
   std::string out = "{";
   out += "\"workload\":\"" + workload.name + "\",";
@@ -65,8 +70,6 @@ std::string ResultToJson(const CostService& service,
     first = false;
   }
   out += "],";
-  CostEngineStats stats = service.EngineStats();
-  if (canonical) stats.executor_wall_seconds = 0.0;
   out += "\"engine_stats\":" + stats.ToJson();
   if (metrics != nullptr) {
     out += ",\"metrics\":" + metrics->ToJson();

@@ -16,23 +16,6 @@ double NowSeconds() {
       .count();
 }
 
-// Bounded spin budgets (iterations of one relaxed atomic load each, roughly
-// 1-2ns per iteration). A batch is worth ~30-150us of work and batches arrive
-// back to back separated only by the service's serial accounting phase, so a
-// worker that sleeps on the condition variable pays a futex wake (~10-50us)
-// per batch — comparable to its whole share of the work. Spinning across the
-// gap keeps workers hot; the condition variable remains as the fallback so
-// idle pools still park. On a single-core machine spinning only steals the
-// timeslice from whoever holds the work, so the budget drops to zero and
-// every wait goes straight to the condition variable.
-constexpr int kWorkerSpinIters = 60000;      // ~100us
-constexpr int kCoordinatorSpinIters = 200000;  // ~300us, covers a full batch
-
-int SpinBudget(int iters) {
-  static const bool multicore = std::thread::hardware_concurrency() > 1;
-  return multicore ? iters : 0;
-}
-
 }  // namespace
 
 double RetryPolicy::BackoffSeconds(int attempt) const {
@@ -57,15 +40,6 @@ WhatIfExecutor::WhatIfExecutor(const WhatIfOptimizer* optimizer,
   BATI_CHECK(optimizer_ != nullptr);
   BATI_CHECK(workload_ != nullptr);
   BATI_CHECK(candidates_ != nullptr);
-}
-
-WhatIfExecutor::~WhatIfExecutor() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
 }
 
 void WhatIfExecutor::ConfigureFaults(const FaultInjector* injector,
@@ -107,14 +81,11 @@ std::vector<Index> WhatIfExecutor::Materialize(const Config& config) const {
   return out;
 }
 
-std::shared_ptr<WhatIfExecutor::Job> WhatIfExecutor::BuildJob(
+WhatIfExecutor::Batch WhatIfExecutor::MaterializeBatch(
     const std::vector<CellRef>& cells) const {
-  auto job = std::make_shared<Job>();
-  job->cells.reserve(cells.size());
-  job->results.assign(cells.size(), 0.0);
-  // Materialize each distinct configuration once per batch (in practice all
-  // cells share a single one); distinctness is by pointer, matching how
-  // CostService builds the batch.
+  Batch batch;
+  batch.config_of.reserve(cells.size());
+  // Distinctness is by pointer, matching how CostService builds the batch.
   std::vector<const Config*> seen;
   for (const CellRef& cell : cells) {
     size_t idx = seen.size();
@@ -126,28 +97,22 @@ std::shared_ptr<WhatIfExecutor::Job> WhatIfExecutor::BuildJob(
     }
     if (idx == seen.size()) {
       seen.push_back(cell.config);
-      job->materialized.push_back(Materialize(*cell.config));
-      job->config_hashes.push_back(cell.config->Hash());
+      batch.materialized.push_back(Materialize(*cell.config));
+      batch.config_hashes.push_back(cell.config->Hash());
     }
-    job->cells.push_back(Job::Cell{cell.query_id, idx});
+    batch.config_of.push_back(idx);
   }
-  return job;
+  return batch;
 }
 
-double WhatIfExecutor::CellCost(const Job& job, size_t i) const {
-  const Job::Cell& cell = job.cells[i];
-  const Query& query =
-      workload_->queries[static_cast<size_t>(cell.query_id)];
-  return optimizer_->Cost(query, job.materialized[cell.config_idx]);
-}
-
-double WhatIfExecutor::ObservedCellCost(const Job& job, size_t i) const {
-  if (obs_cell_wall_us_ == nullptr) return CellCost(job, i);
-  const uint64_t ticket =
-      obs_ticket_.fetch_add(1, std::memory_order_relaxed);
-  if ((ticket & kObsSampleMask) != 0) return CellCost(job, i);
+double WhatIfExecutor::ObservedCellCost(
+    const Query& query, const std::vector<Index>& materialized) {
+  if (obs_cell_wall_us_ == nullptr ||
+      (obs_ticket_++ & kObsSampleMask) != 0) {
+    return optimizer_->Cost(query, materialized);
+  }
   const double t0 = NowSeconds();
-  const double cost = CellCost(job, i);
+  const double cost = optimizer_->Cost(query, materialized);
   obs_cell_wall_us_->Record((NowSeconds() - t0) * 1e6);
   return cost;
 }
@@ -214,9 +179,7 @@ double WhatIfExecutor::EvaluateCell(int query_id,
   wall_seconds_ += wall;
   if (obs_cell_sim_s_ != nullptr || obs_cell_wall_us_ != nullptr ||
       tracer_ != nullptr) {
-    const uint64_t ticket =
-        obs_ticket_.fetch_add(1, std::memory_order_relaxed);
-    if ((ticket & kObsSampleMask) == 0) {
+    if ((obs_ticket_++ & kObsSampleMask) == 0) {
       if (obs_cell_sim_s_ != nullptr) obs_cell_sim_s_->Record(sim);
       if (obs_cell_wall_us_ != nullptr) obs_cell_wall_us_->Record(wall * 1e6);
       if (tracer_ != nullptr) {
@@ -231,63 +194,17 @@ double WhatIfExecutor::EvaluateCell(int query_id,
   return cost;
 }
 
-void WhatIfExecutor::RunJob(const std::shared_ptr<Job>& job) {
-  if (job->cells.size() >= kParallelThreshold) {
-    EnsurePool();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job_ = job;
-      job_generation_.fetch_add(1, std::memory_order_release);
-      work_cv_.notify_all();
-    }
-    // Completion fast path: spin on the lock-free counter — for a typical
-    // batch the workers finish well inside the spin budget and the
-    // coordinator never sleeps.
-    const size_t total = job->cells.size();
-    bool finished = false;
-    const int coordinator_spins = SpinBudget(kCoordinatorSpinIters);
-    for (int spin = 0; spin < coordinator_spins; ++spin) {
-      if (job->done.load(std::memory_order_acquire) == total) {
-        finished = true;
-        break;
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!finished) {
-      done_cv_.wait(lock, [&] {
-        return job->done.load(std::memory_order_acquire) == total;
-      });
-    }
-    job_.reset();
-  } else {
-    for (size_t i = 0; i < job->cells.size(); ++i) {
-      if (job->with_retry) {
-        job->outcomes[i] =
-            RunCellWithRetry(job->cells[i].query_id,
-                             job->materialized[job->cells[i].config_idx],
-                             job->config_hashes[job->cells[i].config_idx]);
-      } else {
-        job->results[i] = ObservedCellCost(*job, i);
-      }
-    }
-  }
-}
-
 std::vector<double> WhatIfExecutor::EvaluateCells(
     const std::vector<CellRef>& cells) {
   const double start = NowSeconds();
   const double sim_start = simulated_seconds_;
+  const Batch batch = MaterializeBatch(cells);
   std::vector<double> out(cells.size(), 0.0);
-  if (!cells.empty()) {
-    std::shared_ptr<Job> job = BuildJob(cells);
-    RunJob(job);
-    out = std::move(job->results);
-  }
-  // Simulated latency is summed in input order so batched accounting is
-  // bit-identical to the sequential path.
   for (size_t i = 0; i < cells.size(); ++i) {
-    const double sim = optimizer_->EstimateCallSeconds(
-        workload_->queries[static_cast<size_t>(cells[i].query_id)]);
+    const Query& query =
+        workload_->queries[static_cast<size_t>(cells[i].query_id)];
+    out[i] = ObservedCellCost(query, batch.materialized[batch.config_of[i]]);
+    const double sim = optimizer_->EstimateCallSeconds(query);
     simulated_seconds_ += sim;
     if (obs_cell_sim_s_ != nullptr && (i & kObsSampleMask) == 0) {
       obs_cell_sim_s_->Record(sim);
@@ -310,8 +227,7 @@ void WhatIfExecutor::ObserveBatch(const char* name, size_t cells, double wall,
     const double wall_us = wall * 1e6;
     tracer_->Complete(name, "whatif", tracer_->NowUs() - wall_us, wall_us,
                       sim_start, simulated_seconds_ - sim_start,
-                      {{"cells", static_cast<double>(cells)},
-                       {"pooled", cells >= kParallelThreshold ? 1.0 : 0.0}});
+                      {{"cells", static_cast<double>(cells)}});
   }
 }
 
@@ -356,102 +272,19 @@ std::vector<CellOutcome> WhatIfExecutor::EvaluateCellsWithRetry(
     const std::vector<CellRef>& cells) {
   const double start = NowSeconds();
   const double sim_start = simulated_seconds_;
+  const Batch batch = MaterializeBatch(cells);
   std::vector<CellOutcome> out(cells.size());
-  if (!cells.empty()) {
-    std::shared_ptr<Job> job = BuildJob(cells);
-    job->with_retry = true;
-    job->outcomes.assign(cells.size(), CellOutcome{});
-    RunJob(job);
-    out = std::move(job->outcomes);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const size_t c = batch.config_of[i];
+    out[i] = RunCellWithRetry(cells[i].query_id, batch.materialized[c],
+                              batch.config_hashes[c]);
+    AccountOutcome(out[i]);
   }
-  // All accounting in input order: per-cell outcomes are pure, so the
-  // totals are bit-identical to the sequential loop.
-  for (const CellOutcome& outcome : out) AccountOutcome(outcome);
   batched_cells_ += static_cast<int64_t>(cells.size());
   const double wall = NowSeconds() - start;
   wall_seconds_ += wall;
   ObserveBatch("whatif.batch_retry", cells.size(), wall, sim_start);
   return out;
-}
-
-void WhatIfExecutor::EnsurePool() {
-  if (!workers_.empty()) return;
-  size_t n = pool_size_;
-  if (n == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    n = std::min<size_t>(hw == 0 ? 2 : hw, 8);
-  }
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-void WhatIfExecutor::WorkerLoop() {
-  uint64_t seen_generation = 0;
-  while (true) {
-    // Spin briefly for the next batch before parking: batches arrive back to
-    // back, and the publish is visible through the atomic generation without
-    // touching mu_. Falls through to the condition variable when no work
-    // shows up (idle pool, shutdown).
-    const int worker_spins = SpinBudget(kWorkerSpinIters);
-    for (int spin = 0; spin < worker_spins; ++spin) {
-      if (job_generation_.load(std::memory_order_acquire) !=
-              seen_generation ||
-          shutdown_.load(std::memory_order_acquire)) {
-        break;
-      }
-    }
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_.load(std::memory_order_relaxed) ||
-               (job_ != nullptr &&
-                job_generation_.load(std::memory_order_relaxed) !=
-                    seen_generation);
-      });
-      if (shutdown_.load(std::memory_order_relaxed)) return;
-      seen_generation = job_generation_.load(std::memory_order_relaxed);
-      job = job_;
-    }
-    // The shared_ptr keeps the job alive, and its ticket counter belongs to
-    // this job alone: once the batch has finished, every remaining claim
-    // overruns cells.size() and is a no-op, so arriving late here is safe.
-    size_t done_here = 0;
-    while (true) {
-      // Claim cells in chunks: one atomic RMW per kClaimChunk cells, and a
-      // worker's result writes land on (mostly) whole cache lines instead of
-      // interleaving double-width stores with its neighbours.
-      size_t begin = job->next.fetch_add(Job::kClaimChunk,
-                                         std::memory_order_relaxed);
-      if (begin >= job->cells.size()) break;
-      const size_t end =
-          std::min(begin + Job::kClaimChunk, job->cells.size());
-      for (size_t i = begin; i < end; ++i) {
-        if (job->with_retry) {
-          job->outcomes[i] =
-              RunCellWithRetry(job->cells[i].query_id,
-                               job->materialized[job->cells[i].config_idx],
-                               job->config_hashes[job->cells[i].config_idx]);
-        } else {
-          job->results[i] = ObservedCellCost(*job, i);
-        }
-        ++done_here;
-      }
-    }
-    if (done_here > 0) {
-      // Lock-free completion: only the worker that finishes the batch takes
-      // the mutex (to pair the notify with the coordinator's wait); the
-      // coordinator usually observes the counter in its spin phase anyway.
-      const size_t prev =
-          job->done.fetch_add(done_here, std::memory_order_acq_rel);
-      if (prev + done_here == job->cells.size()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        done_cv_.notify_all();
-      }
-    }
-  }
 }
 
 double WhatIfExecutor::TrueCost(

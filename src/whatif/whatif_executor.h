@@ -1,12 +1,8 @@
 #ifndef BATI_WHATIF_WHATIF_EXECUTOR_H_
 #define BATI_WHATIF_WHATIF_EXECUTOR_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -70,12 +66,11 @@ struct CellOutcome {
 /// The executor never meters anything itself — callers (the CostService
 /// façade) charge the BudgetMeter around the executor: *before* dispatch on
 /// the fault-free path, and *after* a successful outcome on the
-/// fault-injected path (failed cells are never charged). Either way the
-/// batched EvaluateCells()/EvaluateCellsWithRetry() paths, which fan
-/// independent cells out over a lazily started thread pool, stay inside the
-/// budget: charging is sequential and deterministic, only the pure
-/// optimizer invocations (and the pure per-cell fault schedule) run
-/// concurrently.
+/// fault-injected path (failed cells are never charged). The batched
+/// EvaluateCells()/EvaluateCellsWithRetry() entry points are plain loops
+/// over the per-cell code in input order; they exist to materialize each
+/// distinct configuration once per batch and to observe the batch as one
+/// unit. An executor belongs to one cost service and is used by one thread.
 class WhatIfExecutor {
  public:
   /// A (query, configuration) cell to evaluate. `config` must outlive the
@@ -88,7 +83,6 @@ class WhatIfExecutor {
   /// `optimizer`, `workload`, `candidates` must outlive the executor.
   WhatIfExecutor(const WhatIfOptimizer* optimizer, const Workload* workload,
                  const std::vector<Index>* candidates);
-  ~WhatIfExecutor();
 
   WhatIfExecutor(const WhatIfExecutor&) = delete;
   WhatIfExecutor& operator=(const WhatIfExecutor&) = delete;
@@ -98,13 +92,6 @@ class WhatIfExecutor {
   /// called before the first evaluation.
   void ConfigureFaults(const FaultInjector* injector,
                        const RetryPolicy& policy);
-
-  /// Fixes the thread-pool size for batched evaluation. 0 (the default)
-  /// picks min(hardware_concurrency, 8). Must be called before the first
-  /// batched evaluation — the pool is started lazily and never resized.
-  /// Pool size never affects results (cells are pure and accounting is
-  /// input-ordered), only wall-clock speed.
-  void SetPoolSize(size_t n) { pool_size_ = n; }
 
   /// Wires the executor's observability instruments (either argument may be
   /// null; both must outlive the executor). Evaluations then record per-cell
@@ -123,11 +110,10 @@ class WhatIfExecutor {
   /// path: never consults the injector.
   double EvaluateCell(int query_id, const std::vector<size_t>& positions);
 
-  /// Evaluates a batch of independent cells, returning costs in input
-  /// order. Batches of kParallelThreshold cells or more run on the thread
-  /// pool; smaller ones inline. Results and every accumulated statistic are
-  /// identical to evaluating the cells sequentially (the optimizer is pure
-  /// and simulated seconds are summed in input order). Fault-free path.
+  /// Evaluates a batch of independent cells in input order, returning their
+  /// costs. Results and every accumulated statistic are identical to
+  /// evaluating the cells one by one (the optimizer is pure and simulated
+  /// seconds are summed in input order). Fault-free path.
   std::vector<double> EvaluateCells(const std::vector<CellRef>& cells);
 
   /// Evaluates one cell through the fault-injected retry loop.
@@ -138,12 +124,10 @@ class WhatIfExecutor {
                                     const std::vector<size_t>& positions,
                                     uint64_t config_hash);
 
-  /// Batched equivalent of EvaluateCellWithRetry, concurrent for batches of
-  /// kParallelThreshold cells or more. Because the fault schedule is a pure
-  /// per-(cell, attempt) function, outcomes — costs, failures, attempt
-  /// counts, and per-cell simulated seconds — are bit-identical to the
-  /// sequential loop regardless of thread interleaving; all accounting is
-  /// accumulated in input order.
+  /// Batched equivalent of EvaluateCellWithRetry, in input order. The fault
+  /// schedule is a pure per-(cell, attempt) function, so outcomes — costs,
+  /// failures, attempt counts, and per-cell simulated seconds — are
+  /// bit-identical to the one-by-one loop.
   std::vector<CellOutcome> EvaluateCellsWithRetry(
       const std::vector<CellRef>& cells);
 
@@ -185,9 +169,6 @@ class WhatIfExecutor {
   int64_t timeout_faults() const { return timeout_faults_; }
   int64_t retry_attempts() const { return retry_attempts_; }
 
-  /// Minimum batch size that engages the thread pool.
-  static constexpr size_t kParallelThreshold = 16;
-
   /// Per-cell wall timings and per-call trace spans are recorded for one
   /// cell in every (kObsSampleMask + 1): the clock reads and the tracer's
   /// mutex would otherwise dominate the micro-second simulated what-if call
@@ -197,55 +178,31 @@ class WhatIfExecutor {
   static constexpr uint64_t kObsSampleMask = 15;
 
  private:
-  // One batch, self-contained. Workers hold the job through a shared_ptr,
-  // so a worker that stalls between observing a job and claiming a ticket
-  // can only ever drain *this* job's counter — by the time the batch has
-  // completed the counter is exhausted, so a stale worker claims nothing,
-  // touches no results, and cannot disturb a later batch. Every distinct
-  // configuration in the batch is materialized exactly once, up front.
-  struct Job {
-    /// Cells claimed per ticket: 8 doubles = one cache line of results per
-    /// claim, and an 8x cut in ticket contention. Small enough that the
-    /// worst-case imbalance (one worker stuck with a full chunk) is a few
-    /// microseconds of what-if calls.
-    static constexpr size_t kClaimChunk = 8;
-    struct Cell {
-      int query_id = -1;
-      size_t config_idx = 0;  // into `materialized`
-    };
-    std::vector<Cell> cells;
+  /// A batch's distinct configurations, each materialized exactly once (in
+  /// practice all cells share a single one).
+  struct Batch {
+    /// Per cell: index into `materialized` and `config_hashes`.
+    std::vector<size_t> config_of;
     std::vector<std::vector<Index>> materialized;
-    std::vector<uint64_t> config_hashes;  // parallel to `materialized`
-    std::vector<double> results;
-    /// Retry-loop outcomes; sized (and written) only when `with_retry`.
-    std::vector<CellOutcome> outcomes;
-    bool with_retry = false;
-    std::atomic<size_t> next{0};
-    /// Cells completed; lock-free so workers never take the executor mutex
-    /// on the completion path (only the last finisher does, to notify).
-    std::atomic<size_t> done{0};
+    std::vector<uint64_t> config_hashes;
   };
 
-  std::shared_ptr<Job> BuildJob(const std::vector<CellRef>& cells) const;
-  double CellCost(const Job& job, size_t i) const;
-  /// CellCost plus the per-cell wall-latency histogram when one is wired
-  /// (worker threads record through relaxed atomics, so this is pool-safe).
-  double ObservedCellCost(const Job& job, size_t i) const;
+  Batch MaterializeBatch(const std::vector<CellRef>& cells) const;
+  /// The optimizer cost of one cell, plus its wall latency in the per-cell
+  /// histogram for every sampled ticket.
+  double ObservedCellCost(const Query& query,
+                          const std::vector<Index>& materialized);
   /// The retry loop for one cell: a pure function of the cell and the fault
-  /// schedule (plus the stateless optimizer), safe to run on any worker.
+  /// schedule (plus the stateless optimizer).
   CellOutcome RunCellWithRetry(int query_id,
                                const std::vector<Index>& materialized,
                                uint64_t config_hash) const;
-  void RunJob(const std::shared_ptr<Job>& job);
-  /// Merges one outcome's counters into the executor totals (coordinator
-  /// thread only, input order).
+  /// Merges one outcome's counters into the executor totals.
   void AccountOutcome(const CellOutcome& outcome);
-  /// Batch-level observability (coordinator thread only): size/latency
-  /// histograms plus a Complete span covering the whole batch.
+  /// Batch-level observability: size/latency histograms plus a Complete
+  /// span covering the whole batch.
   void ObserveBatch(const char* name, size_t cells, double wall,
                     double sim_start);
-  void EnsurePool();
-  void WorkerLoop();
 
   const WhatIfOptimizer* optimizer_;
   const Workload* workload_;
@@ -260,9 +217,9 @@ class WhatIfExecutor {
   LatencyHistogram* obs_batch_cells_ = nullptr;
   LatencyHistogram* obs_batch_wall_us_ = nullptr;
   LatencyHistogram* obs_retry_attempts_ = nullptr;
-  /// Sampling ticket for per-cell wall timings/spans; mutable because cell
-  /// evaluation is const on the worker path. Never read by engine logic.
-  mutable std::atomic<uint64_t> obs_ticket_{0};
+  /// Sampling ticket for per-cell wall timings/spans. Never read by engine
+  /// logic.
+  uint64_t obs_ticket_ = 0;
   double simulated_seconds_ = 0.0;
   double wall_seconds_ = 0.0;
   int64_t batched_cells_ = 0;
@@ -270,25 +227,6 @@ class WhatIfExecutor {
   int64_t sticky_faults_ = 0;
   int64_t timeout_faults_ = 0;
   int64_t retry_attempts_ = 0;
-
-  /// Fixed pool size (0 = pick from hardware concurrency); see SetPoolSize.
-  size_t pool_size_ = 0;
-
-  // Thread pool state. The current job is published under `mu_`; workers
-  // copy the shared_ptr and then claim cell indices from the job's own
-  // atomic counter, reporting completion through the job's `done`.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::shared_ptr<Job> job_;  // guarded by mu_
-  /// Atomic so idle workers can spin-poll for the next batch (and the
-  /// coordinator for completion) without touching mu_: a what-if batch is
-  /// worth ~100us of work, which a futex sleep/wake cycle per worker would
-  /// otherwise eat whole. Writes still happen with mu_ held, keeping the
-  /// condition-variable protocol race-free.
-  std::atomic<uint64_t> job_generation_{0};
-  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace bati

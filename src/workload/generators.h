@@ -40,8 +40,8 @@ Workload MakeRealM(const WorkloadOptions& options = WorkloadOptions());
 
 /// Real-D at full scale with a benchmark-sized query set: the same 7,912
 /// tables / 587 GB / ~15.6 joins-per-query shape as Real-D, but 64 queries
-/// from an independent seed — enough work for WhatIfCostMany() to engage
-/// the executor thread pool. Registered as a bundle ("real-d-bench") for
+/// from an independent seed — enough work per WhatIfCostMany() batch to
+/// measure the executor. Registered as a bundle ("real-d-bench") for
 /// bati_tune / bati_batch and driven by bench_whatif.
 Workload MakeRealDBench(const WorkloadOptions& options = WorkloadOptions());
 

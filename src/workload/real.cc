@@ -353,8 +353,8 @@ Workload MakeRealD(const WorkloadOptions& options) {
 
 Workload MakeRealDBench(const WorkloadOptions& options) {
   // Same schema shape as Real-D (Table 1), doubled query count and a
-  // distinct seed: the benchmark workload must be big enough to engage the
-  // batched executor pool without being the workload the figures tune.
+  // distinct seed: the benchmark workload must be big enough to load the
+  // batched executor without being the workload the figures tune.
   RealParams p;
   p.name = "real-d-bench";
   p.table_prefix = "rb";

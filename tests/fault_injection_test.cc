@@ -167,18 +167,16 @@ TEST(FaultedEngine, DegradedAnswerUsesTheDerivedCost) {
   EXPECT_EQ(sticky.degraded_cells(), 1);
 }
 
-// ---- Concurrent batched evaluation == sequential loop, under faults. ----
+// ---- Batched evaluation == sequential loop, under faults. ----
 //
-// TPC-H has 22 queries, which clears the executor's 16-cell thread-pool
-// threshold, so WhatIfCostMany() runs the retry loops concurrently. The
-// fault schedule is a pure per-(cell, attempt) function, so results and
-// every counter must be bit-identical to the sequential WhatIfCost() loop.
-// This test runs under the TSan leg of tools/run_sanitizers.sh.
+// WhatIfCostMany() evaluates a whole TPC-H round (22 queries) as one
+// executor batch through the retry loop. The fault schedule is a pure
+// per-(cell, attempt) function, so results and every counter must be
+// bit-identical to the sequential WhatIfCost() loop.
 
 void ExpectBatchMatchesLoop(int64_t budget, const FaultOptions& faults) {
   const WorkloadBundle& bundle = LoadBundle("tpch");
   const int m = bundle.workload.num_queries();
-  ASSERT_GE(m, static_cast<int>(WhatIfExecutor::kParallelThreshold));
   CostEngineOptions options;
   options.faults = faults;
   CostService batched(bundle.optimizer.get(), &bundle.workload,
@@ -296,8 +294,8 @@ TEST(FaultedEngine, AllAlgorithmsCompleteUnderTenPercentFaults) {
 }
 
 TEST(FaultedEngine, AllAlgorithmsCompleteUnderTenPercentFaultsTpch) {
-  // 22 queries: batched EvaluateCells() crosses the thread-pool threshold,
-  // so the retry path runs concurrently here.
+  // 22 queries: every round's WhatIfCostMany() batch runs the retry path
+  // through EvaluateCellsWithRetry().
   ExpectAllAlgorithmsComplete("tpch", 120);
 }
 

@@ -142,15 +142,11 @@ TEST(MetricsRegistry, ConcurrentRecordingKeepsExactTotals) {
   EXPECT_DOUBLE_EQ(s.max, 512.0);
 }
 
-// The executor's worker pool records cell latencies into the registry's
-// lock-free instruments; under the TSan CI leg this test is the data-race
-// detector for the whole metrics hot path.
-TEST(MetricsRegistry, ExecutorPoolRecordsThroughRegistry) {
+// A batched WhatIfCostMany() round records its sampled per-cell latencies
+// and one batch observation through the registry's instruments.
+TEST(MetricsRegistry, BatchedEvaluationRecordsThroughRegistry) {
   const WorkloadBundle& bundle = LoadBundle("tpch");
   const int n = bundle.workload.num_queries();
-  if (static_cast<size_t>(n) < WhatIfExecutor::kParallelThreshold) {
-    GTEST_SKIP() << "workload too small to engage the thread pool";
-  }
   MetricsRegistry reg;
   CostEngineOptions options;
   options.metrics = &reg;

@@ -71,6 +71,9 @@ TEST(TraceIo, ResultJsonShape) {
   Config c = service.EmptyConfig();
   c.set(0);
   c.set(1);
+  service.DerivedCost(0, c);
+  const int64_t lookups = service.EngineStats().derived_lookups;
+  ASSERT_GT(lookups, 0);
   std::string json =
       ResultToJson(service, bundle.workload, "mcts", c, 42.5);
   EXPECT_NE(json.find("\"workload\":\"toy\""), std::string::npos);
@@ -80,6 +83,11 @@ TEST(TraceIo, ResultJsonShape) {
   // engine_stats is embedded in the same (single) top-level object.
   EXPECT_NE(json.find("\"engine_stats\":{\"what_if_calls\":"),
             std::string::npos);
+  // The counters are the ones taken just before the call: the reporting
+  // path's own DerivedImprovement() lookups are not in them.
+  const std::string frozen =
+      "\"derived_lookups\":" + std::to_string(lookups) + ",";
+  EXPECT_NE(json.find(frozen), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 0);

@@ -90,8 +90,11 @@ expect_exit2 "missing value"       --workload toy --budget
 expect_exit2 "crash w/o checkpoint" --workload toy --crash-at-round 2
 
 echo "==> kill-and-resume reproduces the uninterrupted run"
-normalize() {  # strip real wall-clock (the only legitimately varying field)
+# Strips real wall-clock and the resumed run's recovery note, the only fields
+# that legitimately differ; resume_case checks the note separately.
+normalize() {
   sed -e 's/executor wall=[0-9.]*s/executor wall=Xs/' \
+      -e 's/, resumed: [0-9]* budget units recovered from checkpoint//' \
       -e 's/"executor_wall_seconds":[0-9.e+-]*/"executor_wall_seconds":0/' \
       -e 's#^layout trace written to .*#layout trace written to X#' \
       "$1"
@@ -117,6 +120,14 @@ resume_case() {
   "${tune}" "${common[@]}" --resume "${ckpt}" \
     --layout-csv "${workdir}/resumed.csv" \
     | grep -v '^resuming from ' > "${workdir}/resumed.json"
+  local recovered
+  recovered="$(sed -n 's/^cost engine:.*, resumed: \([0-9]*\) budget units recovered from checkpoint.*/\1/p' \
+    "${workdir}/resumed.json")"
+  if [[ -z "${recovered}" || "${recovered}" -eq 0 ]]; then
+    echo "FAIL ${algo}: resumed run reports no budget units recovered" >&2
+    failures=$((failures + 1))
+    return
+  fi
   normalize "${workdir}/full.json" > "${workdir}/full.norm"
   normalize "${workdir}/resumed.json" > "${workdir}/resumed.norm"
   if ! diff -q "${workdir}/full.norm" "${workdir}/resumed.norm" >/dev/null ||
@@ -125,8 +136,8 @@ resume_case() {
     diff "${workdir}/full.norm" "${workdir}/resumed.norm" >&2 || true
     failures=$((failures + 1))
   else
-    printf '  ok  %-18s crash@round %s, resume bit-identical\n' \
-      "${algo}" "${crash_round}"
+    printf '  ok  %-18s crash@round %s, resume bit-identical (%s units recovered)\n' \
+      "${algo}" "${crash_round}" "${recovered}"
   fi
 }
 resume_case vanilla-greedy 2
